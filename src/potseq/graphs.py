@@ -86,9 +86,6 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
-    def with_edges(self, extra: Iterable[Edge]) -> SimpleGraph:
-        return SimpleGraph(self.n, self.edges | {_norm_edge(u, v) for u, v in extra})
-
     def without_edges(self, drop: Iterable[Edge]) -> SimpleGraph:
         return SimpleGraph(self.n, self.edges - {_norm_edge(u, v) for u, v in drop})
 

@@ -10,6 +10,12 @@ search enumerates placements up to symmetry (automorphisms of the
 target composed with permutations of equal-degree slots) and runs an
 exact backtracking completion for each:
 
+* placements are maps from target vertices to degree classes, generated
+  in lexicographic order; every automorphism image of a map is another
+  map of the search, so the first one met in each orbit is its least
+  member.  That one is kept and its images still ahead are marked; each
+  marked map is skipped and unmarked when the search reaches it, so no
+  map is ever canonicalized;
 * completion decides the open vertex pairs in slot order, satisfying
   one slot at a time, greedier demands first, and prunes with an
   Erdos-Gallai feasibility test on the residual demands;
@@ -169,6 +175,17 @@ def _placements(terms: tuple[int, ...], pattern: TargetPattern) -> tuple[tuple[i
     per orbit of Aut(pattern) composed with permutations of equal-degree
     slots.  Slots whose degree is below the pattern degree are never
     offered, so an empty result proves non-potentiality by itself.
+
+    The search assigns each vertex a degree class, trying classes in
+    ascending index, so class assignments ``a`` arrive in lexicographic
+    order.  Each image ``a o alpha`` (alpha in Aut(pattern)) is also a
+    valid assignment, so the first member reached of every orbit is its
+    lexicographically least one.  That member is emitted and its images
+    still ahead (``img > a``) go into ``seen``; a later assignment found
+    in ``seen`` is removed from it and skipped.  So ``seen`` only holds
+    orbit members not yet reached, and it is empty when the search ends.
+    Assignments are compared and stored as their base-``len(classes)``
+    numerals, whose order is the lexicographic order of the assignments.
     """
     H = pattern.graph
     k = H.n
@@ -180,22 +197,27 @@ def _placements(terms: tuple[int, ...], pattern: TargetPattern) -> tuple[tuple[i
         else:
             classes.append((d, [slot]))
     auts = _automorphisms(pattern)
+    base = len(classes)
     caps = [len(slots) for _, slots in classes]
     assign = [0] * k
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     out: list[tuple[int, ...]] = []
 
-    def rec(h: int) -> None:
+    def rec(h: int, code: int) -> None:
         if h == k:
-            a = tuple(assign)
-            key = min(tuple(a[alpha[v]] for v in range(k)) for alpha in auts)
-            if key in seen:
+            if code in seen:
+                seen.remove(code)
                 return
-            seen.add(key)
+            for alpha in auts:
+                img = 0
+                for v in alpha:
+                    img = img * base + assign[v]
+                if img > code:
+                    seen.add(img)
             taken = [0] * len(classes)
             slots = [0] * k
             for v in range(k):
-                c = a[v]
+                c = assign[v]
                 slots[v] = classes[c][1][taken[c]]
                 taken[c] += 1
             out.append(tuple(slots))
@@ -204,10 +226,10 @@ def _placements(terms: tuple[int, ...], pattern: TargetPattern) -> tuple[tuple[i
             if caps[c] and d >= hdeg[h]:
                 caps[c] -= 1
                 assign[h] = c
-                rec(h + 1)
+                rec(h + 1, code * base + c)
                 caps[c] += 1
 
-    rec(0)
+    rec(0, 0)
     return tuple(out)
 
 

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# Longest sequence parse_sequence accepts; checked before the terms are
+# allocated, so a huge exponent fails at once instead of exhausting memory.
+MAX_SEQUENCE_TERMS = 100_000
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """A non-increasing sequence of non-negative vertex degrees."""
@@ -122,7 +127,11 @@ def enumerate_graphical(n: int, s: int) -> Iterator[DegreeSequence]:
 
 
 def parse_sequence(text: str) -> DegreeSequence:
-    """Parse comma-separated ``BASE^EXP`` items; bare ``BASE`` means exponent 1."""
+    """Parse comma-separated ``BASE^EXP`` items; bare ``BASE`` means exponent 1.
+
+    Raises DomainError when the items add up to more than
+    MAX_SEQUENCE_TERMS terms.
+    """
     terms: list[int] = []
     for item in text.split(","):
         item = item.strip()
@@ -136,6 +145,8 @@ def parse_sequence(text: str) -> DegreeSequence:
             raise DomainError(f"bad sequence item {item!r}") from None
         if e < 1:
             raise DomainError(f"exponent must be positive in {item!r}")
+        if len(terms) + e > MAX_SEQUENCE_TERMS:
+            raise DomainError(f"sequence has more than {MAX_SEQUENCE_TERMS} terms")
         terms.extend([b] * e)
     return DegreeSequence(tuple(terms))
 

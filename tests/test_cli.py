@@ -1,8 +1,10 @@
 """End-to-end command-line behavior via dispatch()."""
 
+import hashlib
 import json
 
-from potseq.cli import dispatch
+import potseq.potential
+from potseq.cli import CACHE_ENV, MAX_TARGET_FILE_VERTICES, dispatch
 
 
 def run(capsys, *argv):
@@ -110,6 +112,36 @@ def test_sigma_compute_lists_exceptions(capsys):
     code, out = run(capsys, "sigma", "compute", "--target", "kp11:3", "--n", "5")
     assert code == 0
     assert "sigma: 18" in out
+
+
+def test_sigma_compute_from_target_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("6 9\n" + "".join(f"{u} {v}\n" for u in range(3) for v in range(3, 6)))
+    code, out = run(capsys, "sigma", "compute", "--target-file", str(k33), "--n", "7")
+    assert code == 0
+    assert "sigma: 34" in out
+    assert "exceptions: 244" in out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "50be0d80fa2d91a090a22e1d71371ef64192d2b9f64ee9eeea9d3c1a71667677"
+    )
+
+
+def test_oversized_target_file_is_rejected_before_any_scan(tmp_path, monkeypatch, capsys):
+    def no_scan(*_args):
+        raise AssertionError("the oversized target reached a factorial scan")
+
+    monkeypatch.setattr(potseq.potential, "_automorphisms", no_scan)
+    monkeypatch.setattr(potseq.potential, "canonical_form", no_scan)
+    n = MAX_TARGET_FILE_VERTICES + 1
+    cycle = tmp_path / "c9.txt"
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    cycle.write_text(f"{n} {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out = run(capsys, "sigma", "compute", "--target-file", str(cycle), "--n", "9")
+    assert code == 1
+    assert out.startswith("error:")
+    assert f"{n} vertices" in out
 
 
 def test_sigma_verify_conjecture(capsys):

@@ -5,6 +5,9 @@ oracles keep it honest: direct enumeration of labeled graphs, and a
 breadth-first walk of the 2-switch graph.  For K_{p,1,1} specifically
 there is also a test-local detector (an adjacent pair with p common
 neighbors) that shares no code with the library's subgraph search.
+The placement search's orbit marking is checked against the direct
+rule (keep a placement when the least of its automorphism images is
+new), which lives here only as a reference.
 """
 
 from itertools import combinations
@@ -14,6 +17,8 @@ import pytest
 from potseq.graphs import SimpleGraph, graph_from_mask, realize
 from potseq.potential import (
     TargetPattern,
+    _automorphisms,
+    _placements,
     certificate_errors,
     contains_subgraph,
     is_potentially,
@@ -35,6 +40,74 @@ def has_kp11_by_common_neighbors(g, p):
         if common.bit_count() >= p:
             return True
     return False
+
+
+def placements_by_min_key(terms, pattern):
+    """Reference orbit dedup: keep a leaf when the least of its images
+    under Aut(pattern) has not been kept before."""
+    H = pattern.graph
+    k = H.n
+    hdeg = H.degrees()
+    classes = []
+    for slot, d in enumerate(terms):
+        if classes and classes[-1][0] == d:
+            classes[-1][1].append(slot)
+        else:
+            classes.append((d, [slot]))
+    auts = _automorphisms(pattern)
+    caps = [len(slots) for _, slots in classes]
+    assign = [0] * k
+    seen = set()
+    out = []
+
+    def rec(h):
+        if h == k:
+            a = tuple(assign)
+            key = min(tuple(a[alpha[v]] for v in range(k)) for alpha in auts)
+            if key in seen:
+                return
+            seen.add(key)
+            taken = [0] * len(classes)
+            slots = []
+            for c in a:
+                slots.append(classes[c][1][taken[c]])
+                taken[c] += 1
+            out.append(tuple(slots))
+            return
+        for c, (d, _slots) in enumerate(classes):
+            if caps[c] and d >= hdeg[h]:
+                caps[c] -= 1
+                assign[h] = c
+                rec(h + 1)
+                caps[c] += 1
+
+    rec(0)
+    return tuple(out)
+
+
+K33 = TargetPattern(SimpleGraph(6, frozenset((u, v) for u in range(3) for v in range(3, 6))))
+C5 = TargetPattern(SimpleGraph.cycle(5))
+P4 = TargetPattern(SimpleGraph(4, frozenset({(0, 1), (1, 2), (2, 3)})))
+K4_MINUS_E = TargetPattern(SimpleGraph(4, SimpleGraph.complete(4).edges - {(2, 3)}))
+
+
+def test_automorphism_group_orders():
+    assert len(_automorphisms(K33)) == 72
+    assert len(_automorphisms(make_kp11(3))) == 12
+    assert len(_automorphisms(C5)) == 10
+
+
+@pytest.mark.parametrize(
+    "target",
+    [K33, C5, P4, K4_MINUS_E, make_kp11(2), make_kp11(3)],
+    ids=["K33", "C5", "P4", "K4-e", "kp11:2", "kp11:3"],
+)
+def test_placements_match_the_min_key_reference_up_to_7(target):
+    for n in range(1, 8):
+        for s in range(0, n * (n - 1) + 1, 2):
+            for seq in enumerate_graphical(n, s):
+                expected = placements_by_min_key(seq.terms, target)
+                assert _placements(seq.terms, target) == expected, seq
 
 
 def test_make_kp11_shapes():

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from potseq.sequences import (
+    MAX_SEQUENCE_TERMS,
     DegreeSequence,
     degree_sum,
     enumerate_graphical,
@@ -116,6 +117,14 @@ def test_parse_and_format_round_trip():
     assert parse_sequence("2") == DegreeSequence((2,))
     for text in ("", "a", "4^", "^2", "4^^2", "4^0", "-1"):
         with pytest.raises(ValueError):
+            parse_sequence(text)
+
+
+def test_parse_sequence_caps_the_term_count_before_allocating():
+    assert len(parse_sequence(f"0^{MAX_SEQUENCE_TERMS}")) == MAX_SEQUENCE_TERMS
+    half = MAX_SEQUENCE_TERMS // 2
+    for text in ("1^1000000000000", f"0^{MAX_SEQUENCE_TERMS},0", f"2^{half + 1},1^{half}"):
+        with pytest.raises(ValueError, match="more than"):
             parse_sequence(text)
 
 
