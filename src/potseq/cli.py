@@ -55,16 +55,6 @@ MAX_TARGET_FILE_VERTICES = 8
 
 
 @dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    outcome: str
-    value: dict | None = None
-    artifacts: list[str] = field(default_factory=list)
-    elapsed_ms: int = 0
-
-
-@dataclass
 class Handled:
     outcome: str  # "pass", "fail", or "value"
     value: dict
@@ -94,6 +84,15 @@ def _parse_target(spec: str | None, path: str | None) -> TargetPattern:
 def _store_for(args, target: TargetPattern, n: int) -> VerdictStore | None:
     root = args.cache_dir or os.environ.get(CACHE_ENV)
     return VerdictStore(root, target, n) if root else None
+
+
+def _field_lines(value: dict) -> list[str]:
+    """``key: value`` lines for report fields; ``_`` in a key becomes ``-``
+    and booleans print as true/false."""
+    return [
+        f"{key.replace('_', '-')}: {str(v).lower() if isinstance(v, bool) else v}"
+        for key, v in value.items()
+    ]
 
 
 def _embedding_lines(embedding: dict[int, int]) -> list[str]:
@@ -149,20 +148,13 @@ def _format_trace_step(step) -> str:
 
 def _handle_seq_check(args) -> Handled:
     seq = parse_sequence(args.sequence)
-    ok = is_graphical(seq)
     value = {
         "sequence": format_sequence(seq),
         "n": len(seq),
         "sum": degree_sum(seq),
-        "graphical": ok,
+        "graphical": is_graphical(seq),
     }
-    lines = [
-        f"sequence: {value['sequence']}",
-        f"n: {value['n']}",
-        f"sum: {value['sum']}",
-        f"graphical: {'true' if ok else 'false'}",
-    ]
-    return Handled("value", value, lines)
+    return Handled("value", value, _field_lines(value))
 
 
 def _handle_seq_realize(args) -> Handled:
@@ -205,22 +197,14 @@ def _handle_extremal_build(args) -> Handled:
         "bound": inst.bound,
         "sequence": seq_text,
         "sum": degree_sum(inst.sequence),
-        "graph": graph_text,
     }
     if args.emit == "sequence":
         lines = [seq_text]
     elif args.emit == "graph":
         lines = graph_text.splitlines()
     else:
-        lines = [
-            f"p: {inst.p}",
-            f"n: {inst.n}",
-            f"bound: {inst.bound}",
-            f"sequence: {seq_text}",
-            f"sum: {degree_sum(inst.sequence)}",
-            "graph:",
-            *graph_text.splitlines(),
-        ]
+        lines = [*_field_lines(value), "graph:", *graph_text.splitlines()]
+    value["graph"] = graph_text
     return Handled("value", value, lines)
 
 
@@ -233,17 +217,12 @@ def _handle_potential_check(args) -> Handled:
         "target": target.cache_key,
         "potentially": verdict.answer,
     }
-    lines = [
-        f"sequence: {value['sequence']}",
-        f"target: {value['target']}",
-        f"potentially: {'true' if verdict.answer else 'false'}",
-    ]
+    lines = _field_lines(value)
     artifacts: list[str] = []
     if verdict.answer:
         cert_text = _certificate_text(verdict.certificate, verdict.embedding)
         value["certificate"] = cert_text
-        lines.append("certificate:")
-        lines.extend(cert_text.splitlines())
+        lines.extend(["certificate:", *cert_text.splitlines()])
         if args.out:
             Path(args.out).write_text(cert_text)
             artifacts.append(args.out)
@@ -263,16 +242,10 @@ def _handle_sigma_compute(args) -> Handled:
         "n": result.n,
         "sigma": result.sigma_value,
         "max_sum_checked": result.max_sum_checked,
-        "exceptions": exceptions,
     }
-    lines = [
-        f"target: {value['target']}",
-        f"n: {result.n}",
-        f"sigma: {result.sigma_value}",
-        f"max-sum-checked: {result.max_sum_checked}",
-        f"exceptions: {len(exceptions)}",
-    ]
+    lines = [*_field_lines(value), f"exceptions: {len(exceptions)}"]
     lines.extend(f"exception: {e['sequence']} sum={e['sum']}" for e in exceptions)
+    value["exceptions"] = exceptions
     return Handled("value", value, lines)
 
 
@@ -297,9 +270,9 @@ def _handle_sigma_verify_theorem2(args) -> Handled:
         f"computed-sigma: {report.result.sigma_value}",
     ]
     if args.n == 6:
-        listed = ",".join(format_sequence(s) for s in high) or "(none)"
-        lines.append(f"exceptions-at-or-above-{floor}: {listed}")
-        value[f"exceptions_at_or_above_{floor}"] = [format_sequence(s) for s in high]
+        listed = [format_sequence(s) for s in high]
+        lines.append(f"exceptions-at-or-above-{floor}: {','.join(listed) or '(none)'}")
+        value[f"exceptions_at_or_above_{floor}"] = listed
     lines.append(f"result: {'pass' if report.passed else 'fail'}")
     return Handled("pass" if report.passed else "fail", value, lines)
 
@@ -315,13 +288,9 @@ def _handle_sigma_verify_conjecture(args) -> Handled:
         progress=_stderr_progress(args),
     )
     bound = sigma_lower_bound(args.p, args.n)
-    value = {"p": args.p, "n": args.n, "lower_bound": bound, "passed": ok}
-    lines = [
-        f"p: {args.p}",
-        f"n: {args.n}",
-        f"lower-bound: {bound}",
-        f"result: {'pass' if ok else 'fail'}",
-    ]
+    value = {"p": args.p, "n": args.n, "lower_bound": bound}
+    lines = [*_field_lines(value), f"result: {'pass' if ok else 'fail'}"]
+    value["passed"] = ok
     return Handled("pass" if ok else "fail", value, lines)
 
 
@@ -339,9 +308,9 @@ def _handle_witness(args) -> Handled:
     lines.append("embedding:")
     lines.extend(_embedding_lines(result.embedding))
     if args.trace:
-        lines.append("trace:")
-        lines.extend(_format_trace_step(s) for s in result.trace)
-        value["trace"] = [_format_trace_step(s) for s in result.trace]
+        steps = [_format_trace_step(s) for s in result.trace]
+        lines.extend(["trace:", *steps])
+        value["trace"] = steps
     artifacts: list[str] = []
     if args.out:
         Path(args.out).write_text(cert_text)
@@ -483,29 +452,16 @@ def dispatch(argv: list[str]) -> int:
     try:
         handled = args.handler(args)
     except PotseqError as exc:
-        if args.json:
-            report = RunReport(
-                command=args.command_name,
-                inputs=_echo_inputs(args),
-                outcome="fail",
-                value={"error": str(exc)},
-                elapsed_ms=int((time.monotonic() - started) * 1000),
-            )
-            print(json.dumps(report.__dict__))
-        else:
-            print(f"error: {exc}")
-        return 1
-    elapsed = int((time.monotonic() - started) * 1000)
+        handled = Handled("fail", {"error": str(exc)}, [f"error: {exc}"])
     if args.json:
-        report = RunReport(
-            command=args.command_name,
-            inputs=_echo_inputs(args),
-            outcome=handled.outcome,
-            value=handled.value,
-            artifacts=handled.artifacts,
-            elapsed_ms=elapsed,
-        )
-        print(json.dumps(report.__dict__))
+        print(json.dumps({
+            "command": args.command_name,
+            "inputs": _echo_inputs(args),
+            "outcome": handled.outcome,
+            "value": handled.value,
+            "artifacts": handled.artifacts,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }))
     else:
         for line in handled.lines:
             print(line)

@@ -293,25 +293,16 @@ def realize_with_forced_edges(seq: DegreeSequence, forced: Iterable[Edge]) -> Si
 
 def is_potentially(seq: DegreeSequence, h: TargetPattern) -> PotentialVerdict:
     """Exact decision, with a certificate realization on success."""
-    if not is_graphical(seq):
-        raise NotGraphical(f"{seq} is not graphical")
-    n = len(seq)
-    if h.graph.n > n:
-        return PotentialVerdict(False)
     g = realize(seq)
+    if h.graph.n > len(seq):
+        return PotentialVerdict(False)
     emb = contains_subgraph(g, h)
     if emb is not None:
         return PotentialVerdict(True, g, emb)
     hedges = sorted(h.graph.edges)
     for slots in _placements(seq.terms, h):
-        forced = [0] * n
-        for u, v in hedges:
-            a, b = slots[u], slots[v]
-            forced[a] |= 1 << b
-            forced[b] |= 1 << a
-        result = _complete_masks(seq.terms, forced)
-        if result is not None:
-            cert = graph_from_masks(n, result)
+        cert = realize_with_forced_edges(seq, [(slots[u], slots[v]) for u, v in hedges])
+        if cert is not None:
             return PotentialVerdict(True, cert, {v: slots[v] for v in range(h.graph.n)})
     return PotentialVerdict(False)
 

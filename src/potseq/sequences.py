@@ -63,22 +63,29 @@ def _erdos_gallai(terms: tuple[int, ...] | list[int]) -> bool:
     """Erdos-Gallai test on a non-increasing list of non-negative ints.
 
     Conditions are only checked up to the Durfee index (the largest k
-    with d_k >= k); the remaining ones are implied.
+    with d_k >= k); the remaining ones are implied.  ``terms[:above]``
+    are the terms above k, summing to ``head``; ``above`` only falls.
     """
-    if sum(terms) % 2:
+    total = sum(terms)
+    if total % 2:
         return False
     n = len(terms)
     if terms[0] >= n:
         return False
     prefix = 0
+    above, head = n, total
     for k in range(1, n + 1):
         d = terms[k - 1]
         if d < k:
             break
         prefix += d
-        bound = k * (k - 1)
-        for t in terms[k:]:
-            bound += k if t > k else t
+        while above and terms[above - 1] <= k:
+            above -= 1
+            head -= terms[above]
+        if above > k:  # k(k - 1) + k(above - k) + sum(terms[above:])
+            bound = k * (above - 1) + total - head
+        else:
+            bound = k * (k - 1) + total - prefix
         if prefix > bound:
             return False
     return True

@@ -11,9 +11,12 @@ between runs.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 from .errors import DomainError
@@ -35,8 +38,9 @@ __all__ = [
 # the 4n - 2 pattern because of the single exceptional sequence 4^6.
 K311_SIGMA_TABLE = {5: 18, 6: 26, 7: 26, 8: 30, 9: 34}
 
-# At n = 6 every graphical sequence with sum >= this value is potentially
+# At n = 6 every graphical sequence with sum >= the floor is potentially
 # K_{3,1,1}-graphic except 4^6 alone.
+K311_N6_EXCEPTION = DegreeSequence((4,) * 6)
 K311_N6_EXCEPTION_FLOOR = 22
 
 
@@ -93,9 +97,8 @@ class VerdictStore:
             fh.write(f"{text} {1 if verdict else 0}\n")
 
 
-def _verdict_worker(args: tuple[tuple[int, ...], TargetPattern]) -> bool:
-    terms, target = args
-    return is_potentially(DegreeSequence(terms), target).answer
+def _answer(seq: DegreeSequence, target: TargetPattern) -> bool:
+    return is_potentially(seq, target).answer
 
 
 def compute_sigma(
@@ -111,6 +114,7 @@ def compute_sigma(
     Returns the threshold plus the full failure profile; every recorded
     exception therefore has sum < sigma_value.  ``progress`` (if given)
     receives (sum, sequences at that sum, failures so far) after each sum.
+    ``jobs`` is clamped to the CPU count.
     """
     if n < target.graph.n:
         raise DomainError(
@@ -118,37 +122,22 @@ def compute_sigma(
         )
     max_sum = n * (n - 1)
     failing: list[tuple[DegreeSequence, int]] = []
+    jobs = min(jobs, os.cpu_count() or 1)
     executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         for s in range(max_sum, -1, -2):
             seqs = list(enumerate_graphical(n, s))
-            pending: list[DegreeSequence] = []
-            verdicts: dict[str, bool] = {}
-            for seq in seqs:
-                text = format_sequence(seq)
-                known = store.get(text) if store else None
-                if known is None:
-                    pending.append(seq)
-                else:
-                    verdicts[text] = known
-            if pending:
-                if executor is not None:
-                    chunk = max(1, len(pending) // (jobs * 4))
-                    answers = executor.map(
-                        _verdict_worker,
-                        [(seq.terms, target) for seq in pending],
-                        chunksize=chunk,
-                    )
-                else:
-                    answers = (is_potentially(seq, target).answer for seq in pending)
-                for seq, ans in zip(pending, answers):
-                    text = format_sequence(seq)
-                    verdicts[text] = ans
-                    if store:
-                        store.put(text, ans)
-            for seq in seqs:
-                if not verdicts[format_sequence(seq)]:
-                    failing.append((seq, s))
+            texts = [format_sequence(seq) for seq in seqs] if store else []
+            answers = [store.get(text) for text in texts] if store else [None] * len(seqs)
+            todo = [i for i, known in enumerate(answers) if known is None]
+            work = [seqs[i] for i in todo]
+            chunk = max(1, len(work) // (jobs * 4))
+            run = map if executor is None else partial(executor.map, chunksize=chunk)
+            for i, ans in zip(todo, run(_answer, work, repeat(target))):
+                answers[i] = ans
+                if store:
+                    store.put(texts[i], ans)
+            failing.extend((seq, s) for seq, ans in zip(seqs, answers) if not ans)
             if progress:
                 progress(s, len(seqs), len(failing))
     finally:
@@ -177,7 +166,7 @@ def verify_k311_thresholds(
     passed = result.sigma_value == expected
     if n == 6:
         high = result.exceptions_with_sum_at_least(K311_N6_EXCEPTION_FLOOR)
-        passed = passed and high == [DegreeSequence((4,) * 6)]
+        passed = passed and high == [K311_N6_EXCEPTION]
     return ExactValueReport(n, expected, result, passed)
 
 

@@ -39,6 +39,7 @@ from .errors import (
 from .graphs import Edge, SimpleGraph, _norm_edge, degree_sequence, realize
 from .potential import certificate_errors, is_potentially, make_kp11, realize_with_forced_edges
 from .sequences import DegreeSequence, degree_sum, format_sequence, is_graphical
+from .thresholds import K311_N6_EXCEPTION
 
 __all__ = [
     "WitnessResult",
@@ -56,7 +57,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_EXCEPTIONAL = (4, 4, 4, 4, 4, 4)
 _K311 = make_kp11(3)
 
 
@@ -206,7 +206,7 @@ def find_k311_realization(seq: DegreeSequence) -> WitnessResult:
         raise BelowThreshold(
             f"degree sum {degree_sum(seq)} is below the threshold {4 * n - 2}"
         )
-    if seq.terms == _EXCEPTIONAL:
+    if seq == K311_N6_EXCEPTION:
         raise KnownException("4^6 has no realization containing K_{3,1,1}")
     result = _solve(seq)
     problems = certificate_errors(seq, _K311, result.graph, result.embedding)
@@ -216,37 +216,25 @@ def find_k311_realization(seq: DegreeSequence) -> WitnessResult:
 
 
 def _solve(seq: DegreeSequence) -> WitnessResult:
-    n = len(seq)
-    if n <= 7:
-        verdict = is_potentially(seq, _K311)
-        if not verdict.answer:
-            raise RuntimeError(f"{seq} unexpectedly has no realization with K_{{3,1,1}}")
-        assert verdict.certificate is not None and verdict.embedding is not None
-        return WitnessResult(
-            verdict.certificate,
-            dict(verdict.embedding),
-            (BaseCaseStep(verdict.certificate),),
-        )
-    if seq.terms[-1] <= 2:
-        return _split_off_minimum(seq)
-    return _clique_then_interchange(seq)
-
-
-def _split_off_minimum(seq: DegreeSequence) -> WitnessResult:
-    n = len(seq)
-    g = realize(seq)
-    victim = n - 1
-    low = seq.terms[-1]
-    nbrs = sorted(g.neighbors(victim))
-    residual = g.remove_vertex(victim)
-    residual_seq = degree_sequence(residual)
-    gdegs = g.degrees()
-    nbr_res = tuple(sorted((gdegs[u] - 1 for u in nbrs), reverse=True))
-    inner = _solve(residual_seq)
-    rebuilt = reattach(inner.graph, seq, low, nbr_res)
-    attached = tuple(sorted(rebuilt.neighbors(n - 1)))
-    trace = inner.trace + (AttachStep(low, nbr_res, attached),)
-    return WitnessResult(rebuilt, dict(inner.embedding), trace)
+    # Peel minimum-degree vertices down to a core, recording each one's
+    # sequence and neighbor residual degrees, then re-attach them in
+    # reverse order.
+    peeled: list[tuple[DegreeSequence, tuple[int, ...]]] = []
+    while len(seq) > 7 and seq.terms[-1] <= 2:
+        g = realize(seq)
+        victim = len(seq) - 1
+        gdegs = g.degrees()
+        nbr_res = tuple(sorted((gdegs[u] - 1 for u in g.neighbors(victim)), reverse=True))
+        peeled.append((seq, nbr_res))
+        seq = degree_sequence(g.remove_vertex(victim))
+    core = _exact(seq) if len(seq) <= 7 else _clique_then_interchange(seq)
+    graph, trace = core.graph, list(core.trace)
+    for outer, nbr_res in reversed(peeled):
+        low = outer.terms[-1]
+        graph = reattach(graph, outer, low, nbr_res)
+        attached = tuple(sorted(graph.neighbors(len(outer) - 1)))
+        trace.append(AttachStep(low, nbr_res, attached))
+    return WitnessResult(graph, core.embedding, tuple(trace))
 
 
 def _embedding(apexes: tuple[int, int], commons: tuple[int, int, int]) -> dict[int, int]:
@@ -257,7 +245,7 @@ def _clique_then_interchange(seq: DegreeSequence) -> WitnessResult:
     forced = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     g = realize_with_forced_edges(seq, forced)
     if g is None:
-        return _fallback(seq, "no realization with a clique on the top four slots", ())
+        return _exact(seq, "no realization with a clique on the top four slots")
     assert seq.terms[1] >= 4, "second degree below 4 cannot reach the degree sum"
     trace: list[object] = [SeededCliqueStep(g)]
     v1, v2, v3, v4 = 0, 1, 2, 3
@@ -265,7 +253,7 @@ def _clique_then_interchange(seq: DegreeSequence) -> WitnessResult:
 
     outside1 = sorted(u for u in g.neighbors(v1) if u not in clique)
     if not outside1:
-        return _fallback(seq, "top slot has no neighbor outside the clique", tuple(trace))
+        return _exact(seq, "top slot has no neighbor outside the clique", trace)
     y1 = outside1[0]
     for vj, rest in ((v2, (v3, v4)), (v3, (v2, v4)), (v4, (v2, v3))):
         if g.has_edge(y1, vj):
@@ -276,7 +264,7 @@ def _clique_then_interchange(seq: DegreeSequence) -> WitnessResult:
 
     outside2 = sorted(u for u in g.neighbors(v2) if u not in clique)
     if not outside2:
-        return _fallback(seq, "second slot has no neighbor outside the clique", tuple(trace))
+        return _exact(seq, "second slot has no neighbor outside the clique", trace)
     y2 = outside2[0]
     for vj, apexes, commons in (
         (v1, (v1, v2), (v3, v4)),
@@ -293,7 +281,7 @@ def _clique_then_interchange(seq: DegreeSequence) -> WitnessResult:
     # insertions stay distinct. Minimum degree >= 3 guarantees a choice.
     third = sorted(u for u in g.neighbors(y1) if u not in (v1, y2))
     if not third:
-        return _fallback(seq, "no third helper next to y1", tuple(trace))
+        return _exact(seq, "no third helper next to y1", trace)
     y3 = third[0]
 
     if g.has_edge(y3, v3) and g.has_edge(y3, v4):
@@ -312,22 +300,25 @@ def _clique_then_interchange(seq: DegreeSequence) -> WitnessResult:
     try:
         g2 = interchange(g, removed, inserted)
     except InvalidInterchange as exc:
-        return _fallback(seq, f"interchange rejected: {exc}", tuple(trace))
+        return _exact(seq, f"interchange rejected: {exc}", trace)
     trace.append(InterchangeStep(case, removed, inserted))
     emb = _embedding((v1, v2), (v3, v4, y1))
     if certificate_errors(seq, _K311, g2, emb):
-        return _fallback(seq, "interchange result does not embed the target", tuple(trace))
+        return _exact(seq, "interchange result does not embed the target", trace)
     return WitnessResult(g2, emb, tuple(trace))
 
 
-def _fallback(seq: DegreeSequence, reason: str, trace: tuple[object, ...]) -> WitnessResult:
-    log.warning("constructive path diverged for %s: %s", format_sequence(seq), reason)
+def _exact(
+    seq: DegreeSequence, reason: str | None = None, trace: Iterable[object] = ()
+) -> WitnessResult:
+    """The exact engine's witness: a base case, or a fallback (with the
+    reason it was needed) after the recorded constructive steps."""
+    if reason is not None:
+        log.warning("constructive path diverged for %s: %s", format_sequence(seq), reason)
     verdict = is_potentially(seq, _K311)
     if not verdict.answer:
         raise RuntimeError(f"{seq} unexpectedly has no realization with K_{{3,1,1}}")
     assert verdict.certificate is not None and verdict.embedding is not None
-    return WitnessResult(
-        verdict.certificate,
-        dict(verdict.embedding),
-        trace + (FallbackStep(reason, verdict.certificate),),
-    )
+    g = verdict.certificate
+    step = BaseCaseStep(g) if reason is None else FallbackStep(reason, g)
+    return WitnessResult(g, verdict.embedding, (*trace, step))

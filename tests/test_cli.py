@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import re
+
+import pytest
 
 import potseq.potential
 from potseq.cli import CACHE_ENV, MAX_TARGET_FILE_VERTICES, dispatch
@@ -207,3 +210,49 @@ def test_usage_errors_exit_two(capsys):
     assert dispatch([]) == 2
     assert dispatch(["seq"]) == 2
     capsys.readouterr()
+
+
+# stdout sha256 per command, as (text mode, --json mode with elapsed_ms
+# set to 0).  The header lines of the first five are rendered from the
+# report's value fields, and the last one is an error report.
+PINNED_STDOUT = {
+    ("seq", "check", "3,1,1"): (
+        "555438ee8f291c1426e60f93200f935f0ad458402f5fc183466b820622e5da8a",
+        "5c070df340878dc624be3ded3967ecd2740dd5813b8a158a75081ce342d3dc80",
+    ),
+    ("potential", "check", "5^2,3^4", "--target", "kp11:3"): (
+        "a8109685be13226c5d1a493cf8157fc8b6bea5cd03b0764d83ce88ff6c65bee2",
+        "b192cd2ddaa4e18e2a15d15983700c74f01c0c6db4e85e88842aac355397f9be",
+    ),
+    ("extremal", "build", "--p", "3", "--n", "7"): (
+        "4249218c0cedc6281d2be95eefb37f1c34eb4cf7fcc9d67a7b3aa831446110a0",
+        "0adb839841102f8b1de19d5d233c87a801a7a6918c0ac37275833877f8cc1329",
+    ),
+    ("sigma", "compute", "--target", "kp11:3", "--n", "6"): (
+        "176b171042876c4859b00b4c809a0db1be3354ca303eebb998eefd80c9520a4f",
+        "51a79f64da128c5be23187bd5c1f93aafb707a64be690aa7f173217ee99159e8",
+    ),
+    ("sigma", "verify-conjecture", "--p", "1", "--n", "6"): (
+        "1417e3a9e58d64c0254689d5d0a2c237dd12d3fbfe955a21b1c63bf2cfbed3b3",
+        "eac481628552d8dda8608988e607fd0adbffac0a2bd8981d3109c35ef319819b",
+    ),
+    ("witness", "k311", "4^8", "--trace"): (
+        "2f259dc94878894b0c807b042f05eb5f97d57ed351329f284b5f2db37fa42c64",
+        "ab33a68b45da56bd2ad5cb6b89702bc90b9dd86ffbeda835d962e962e3a335bb",
+    ),
+    ("seq", "realize", "3,3,1"): (
+        "f4632114bfc7d2a81f35bd705ff36bf74da4d00afd3ab8f3bd8796f7f30c78ec",
+        "cfc6743f95e3e247886dd4d1e682dddb384ded17b57f6e863e2da3132a0e9b6e",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_stdout_bytes_are_pinned(argv, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    digests = []
+    for mode in ((), ("--json",)):
+        _, out = run(capsys, *mode, *argv)
+        out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == PINNED_STDOUT[argv]

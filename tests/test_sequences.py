@@ -6,9 +6,12 @@ inequality check with no early termination.  Both were used to freeze
 the expected values below before the library existed.
 """
 
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potseq.sequences import (
     MAX_SEQUENCE_TERMS,
@@ -78,6 +81,33 @@ def test_is_graphical_matches_graph_enumeration(n):
 def test_early_break_agrees_with_full_inequality_scan(n):
     for terms in all_candidate_tuples(n):
         assert is_graphical(DegreeSequence(terms)) == erdos_gallai_full(terms), terms
+
+
+@given(
+    st.integers(min_value=1, max_value=60).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_linear_scan_agrees_with_full_inequality_scan_up_to_60(terms):
+    terms = sorted(terms, reverse=True)
+    assert is_graphical(DegreeSequence(tuple(terms))) == erdos_gallai_full(terms), terms
+
+
+def test_longest_sequences_are_decided_at_once():
+    # 50000^100000 is checked at every k up to its Durfee index 50000;
+    # 99999^50000,49999^50000 first fails at k = 50000.  A scan of the
+    # tail per k would take minutes on either.
+    half = MAX_SEQUENCE_TERMS // 2
+    cases = [
+        (f"{half}^{MAX_SEQUENCE_TERMS}", True),
+        (f"{MAX_SEQUENCE_TERMS - 1}^{half},{half - 1}^{half}", False),
+    ]
+    for text, expected in cases:
+        seq = parse_sequence(text)
+        started = time.perf_counter()
+        assert is_graphical(seq) is expected, text
+        assert time.perf_counter() - started < 5.0, text
 
 
 def test_known_verdicts():

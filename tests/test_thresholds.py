@@ -1,7 +1,10 @@
 """Exact threshold sweeps and the verdict cache."""
 
+import os
+
 import pytest
 
+import potseq.thresholds
 from potseq.potential import is_potentially, make_kp11
 from potseq.sequences import DegreeSequence, degree_sum, enumerate_graphical, format_sequence
 from potseq.thresholds import (
@@ -126,6 +129,30 @@ def test_parallel_sweep_matches_serial():
     parallel = compute_sigma(target, 6, jobs=2)
     assert serial.sigma_value == parallel.sigma_value
     assert serial.exceptions == parallel.exceptions
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+    # The fake pool records the worker count and maps in-process, so no
+    # worker is ever started, whatever the requested count.
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(potseq.thresholds, "ProcessPoolExecutor", RecordingPool)
+    target = make_kp11(3)
+    result = compute_sigma(target, 6, jobs=10**6)
+    assert created == [2]
+    assert result.exceptions == compute_sigma(target, 6).exceptions
+    assert created == [2]
 
 
 def test_progress_callback_sees_every_sum():

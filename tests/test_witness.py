@@ -54,12 +54,32 @@ def test_seeded_clique_path():
     assert any(isinstance(s, SeededCliqueStep) for s in result.trace)
 
 
-def test_interchange_path_records_the_swap():
-    result = find_k311_realization(parse_sequence("4^8"))
+# Up to n = 10 the interchange runs for 4^8, 4^9 and 4^8,3^2 (case 1) and
+# for the four n = 10 inputs below (case 2); 4^8 is the first of case 1.
+@pytest.mark.parametrize(
+    "text, case",
+    [("4^8", 1), ("4^10", 2), ("6^1,4^9", 2), ("5^2,4^8", 2), ("5^1,4^8,3^1", 2)],
+)
+def test_interchange_path_records_the_swap(text, case):
+    seq = parse_sequence(text)
+    result = find_k311_realization(seq)
+    check_result(seq, result)
     swaps = [s for s in result.trace if isinstance(s, InterchangeStep)]
-    assert len(swaps) <= 1
-    for s in swaps:
-        assert len(s.removed) == len(s.inserted) == 3
+    assert [s.case for s in swaps] == [case]
+    assert len(swaps[0].removed) == len(swaps[0].inserted) == 3
+    assert replay_trace(result.trace) == result.graph
+
+
+def test_long_split_off_chain_runs_without_recursion():
+    # 600 pendant paths of degree 2 on five hubs: n = 605 peels 598
+    # vertices down to a 7-vertex core.  A frame per peeled vertex would
+    # exceed Python's default recursion limit here.
+    seq = DegreeSequence((244,) * 5 + (2,) * 600)
+    result = find_k311_realization(seq)
+    check_result(seq, result)
+    attaches = [s for s in result.trace if isinstance(s, AttachStep)]
+    assert len(attaches) == 598
+    assert replay_trace(result.trace) == result.graph
 
 
 def test_rejections():
