@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: a decided verdict (true or false) exits 0; a refuted theorem
-check, an invalid certificate, or a domain error exits 1; malformed
-usage exits 2.
+check, an invalid certificate, a domain error, or a reader that closed
+stdout early exits 1; malformed usage exits 2.
 
 Stdout is deterministic for a fixed argv and cache state, except for the
 elapsed_ms field of --json reports.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -347,8 +348,18 @@ def _stderr_progress(args):
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads any argument that starts with ``-`` and a digit as a value, so
+    sequence text such as ``-1,1`` reaches ``parse_sequence`` and fails
+    there as a domain error.  No option of this program starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="potseq",
         description="Potentially K_{p,1,1}-graphic sequences: thresholds, witnesses, certificates.",
     )
@@ -478,7 +489,17 @@ def _echo_inputs(args) -> dict:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``| head``).  Point stdout at devnull so the
+        # flush at exit cannot raise again, and report the cut output.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

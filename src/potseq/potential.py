@@ -19,6 +19,12 @@ exact backtracking completion for each:
 * completion decides the open vertex pairs in slot order, satisfying
   one slot at a time, greedier demands first, and prunes with an
   Erdos-Gallai feasibility test on the residual demands;
+* before that search runs, its first branch is walked greedily, with
+  no prune: each slot takes the first candidates in (largest residual,
+  lowest slot) order.  Each residual along a walk that reaches the end
+  is realized by the walk's own later edges, so it passes the prune and
+  the search returns the same masks.  A stuck walk is dropped and the
+  search runs from the start;
 * dead residual states are memoized, so exhausting a negative instance
   stays cheap.
 
@@ -54,6 +60,8 @@ __all__ = [
     "make_kp11",
     "contains_subgraph",
     "is_potentially",
+    "kp11_order",
+    "potential_answer",
     "is_potentially_by_enumeration",
     "is_potentially_by_switching",
     "realize_with_forced_edges",
@@ -235,12 +243,33 @@ def _placements(terms: tuple[int, ...], pattern: TargetPattern) -> tuple[tuple[i
 
 def _complete_masks(terms: tuple[int, ...], forced: list[int]) -> list[int] | None:
     """Exact search for adjacency masks meeting every slot degree and
-    containing every forced edge; None when no such graph exists."""
+    containing every forced edge; None when no such graph exists.
+
+    The search's first branch is walked greedily before the search runs;
+    see the module docstring for why that returns the search's own answer.
+    """
     n = len(terms)
-    adj = list(forced)
-    r = [terms[i] - adj[i].bit_count() for i in range(n)]
-    if min(r) < 0 or sum(r) % 2:
+    start = [terms[i] - forced[i].bit_count() for i in range(n)]
+    if min(start) < 0 or sum(start) % 2:
         return None
+    adj, r = list(forced), list(start)
+    u = 0
+    while True:
+        while u < n and r[u] == 0:
+            u += 1
+        if u == n:
+            return adj
+        need = r[u]
+        cands = [v for v in range(u + 1, n) if r[v] > 0 and not (adj[u] >> v) & 1]
+        if len(cands) < need:
+            break
+        cands.sort(key=r.__getitem__, reverse=True)
+        for v in cands[:need]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            r[v] -= 1
+        r[u] = 0
+    adj, r = list(forced), start
     dead: set[tuple[int, ...]] = set()
 
     def rec(u: int) -> bool:
@@ -254,7 +283,7 @@ def _complete_masks(terms: tuple[int, ...], forced: list[int]) -> list[int] | No
         need = r[u]
         cands = [v for v in range(u + 1, n) if r[v] > 0 and not (adj[u] >> v) & 1]
         if len(cands) >= need:
-            cands.sort(key=lambda v: (-r[v], v))
+            cands.sort(key=r.__getitem__, reverse=True)
             bit_u = 1 << u
             for combo in combinations(cands, need):
                 r[u] = 0
@@ -305,6 +334,41 @@ def is_potentially(seq: DegreeSequence, h: TargetPattern) -> PotentialVerdict:
         if cert is not None:
             return PotentialVerdict(True, cert, {v: slots[v] for v in range(h.graph.n)})
     return PotentialVerdict(False)
+
+
+def kp11_order(h: TargetPattern) -> int | None:
+    """p when the target is K_{p,1,1}, else None.
+
+    Sorted degrees ((p+1)^2, 2^p) on p + 2 vertices force K_{p,1,1}: both
+    degree-(p+1) vertices see every other vertex, which uses up the degree
+    of the other p.  So any labeling of K_{p,1,1} qualifies.
+    """
+    p = h.graph.n - 2
+    degs = sorted(h.graph.degrees(), reverse=True)
+    return p if p >= 1 and degs == [p + 1] * 2 + [2] * p else None
+
+
+def potential_answer(seq: DegreeSequence, h: TargetPattern, p: int | None) -> bool:
+    """``is_potentially(seq, h).answer`` for a graphical seq, without a
+    certificate; ``p`` is ``kp11_order(h)``, worked out once by the caller.
+
+    For K_{p,1,1}, counting rejects a sequence with fewer than two terms
+    >= p+1 or fewer than p+2 terms >= 2.  Then the one placement Yin's
+    theorem on split graphs names (apexes on the two largest slots,
+    commons on the next p) is completed; a completion proves the answer
+    true.  When it fails, and for every other target, the general engine
+    decides.
+    """
+    if p is not None:
+        terms = seq.terms
+        n = len(terms)
+        if n < p + 2 or terms[1] < p + 1 or terms[p + 1] < 2:
+            return False
+        top = (1 << (p + 2)) - 1
+        forced = [top ^ 1, top ^ 2] + [3] * p + [0] * (n - p - 2)
+        if _complete_masks(terms, forced) is not None:
+            return True
+    return is_potentially(seq, h).answer
 
 
 @lru_cache(maxsize=8)

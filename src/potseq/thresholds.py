@@ -6,13 +6,20 @@ The sweep walks every even sum from n(n-1) down to 0, decides every
 graphical sequence, and records every failure; the threshold is then
 two more than the largest failing sum.  Verdicts for distinct sequences
 are independent, so they may be computed in parallel and cached on disk
-between runs.
+between runs; the cache is appended once per sum.
+
+The sweep needs answers only, never certificates, so it decides through
+``potential_answer``.  When the target is K_{p,1,1} (by its degrees, so a
+``--target-file`` copy counts too), most sequences are settled by
+counting or by completing one forced placement, with no Havel-Hakimi
+realization and no containment search; the rest, and every other
+target, go to the general engine.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -21,7 +28,7 @@ from pathlib import Path
 
 from .errors import DomainError
 from .extremal import sigma_lower_bound
-from .potential import TargetPattern, is_potentially, make_kp11
+from .potential import TargetPattern, kp11_order, make_kp11, potential_answer
 from .sequences import DegreeSequence, enumerate_graphical, format_sequence
 
 __all__ = [
@@ -69,7 +76,9 @@ class VerdictStore:
 
     One file per (target, n); each line is a sequence in text format,
     a space, and a 0/1 verdict.  Re-reads are last-writer-wins, so
-    concurrent appends of identical verdicts are harmless.
+    concurrent appends of identical verdicts are harmless.  ``put_many``
+    appends a batch (a sweep's whole sum) with one open; ``put`` is a
+    batch of one.  Either has written its lines when it returns.
     """
 
     def __init__(self, root: str | Path, target: TargetPattern, n: int):
@@ -89,16 +98,20 @@ class VerdictStore:
         return self._mem.get(text)
 
     def put(self, text: str, verdict: bool) -> None:
-        if self._mem.get(text) == verdict:
+        self.put_many([(text, verdict)])
+
+    def put_many(self, pairs: Iterable[tuple[str, bool]]) -> None:
+        """Append every verdict not already stored as given, in order."""
+        lines = []
+        for text, verdict in pairs:
+            if self._mem.get(text) != verdict:
+                self._mem[text] = verdict
+                lines.append(f"{text} {1 if verdict else 0}\n")
+        if not lines:
             return
-        self._mem[text] = verdict
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
-            fh.write(f"{text} {1 if verdict else 0}\n")
-
-
-def _answer(seq: DegreeSequence, target: TargetPattern) -> bool:
-    return is_potentially(seq, target).answer
+            fh.write("".join(lines))
 
 
 def compute_sigma(
@@ -121,6 +134,7 @@ def compute_sigma(
             f"n={n} is smaller than the target's {target.graph.n} vertices"
         )
     max_sum = n * (n - 1)
+    p = kp11_order(target)
     failing: list[tuple[DegreeSequence, int]] = []
     jobs = min(jobs, os.cpu_count() or 1)
     executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -133,10 +147,10 @@ def compute_sigma(
             work = [seqs[i] for i in todo]
             chunk = max(1, len(work) // (jobs * 4))
             run = map if executor is None else partial(executor.map, chunksize=chunk)
-            for i, ans in zip(todo, run(_answer, work, repeat(target))):
+            for i, ans in zip(todo, run(potential_answer, work, repeat(target), repeat(p))):
                 answers[i] = ans
-                if store:
-                    store.put(texts[i], ans)
+            if store:
+                store.put_many((texts[i], answers[i]) for i in todo)
             failing.extend((seq, s) for seq, ans in zip(seqs, answers) if not ans)
             if progress:
                 progress(s, len(seqs), len(failing))

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import re
+import sys
 
 import pytest
 
 import potseq.potential
-from potseq.cli import CACHE_ENV, MAX_TARGET_FILE_VERTICES, dispatch
+from potseq.cli import CACHE_ENV, MAX_TARGET_FILE_VERTICES, dispatch, main
 
 
 def run(capsys, *argv):
@@ -209,7 +211,64 @@ def test_usage_errors_exit_two(capsys):
     assert dispatch(["bogus"]) == 2
     assert dispatch([]) == 2
     assert dispatch(["seq"]) == 2
+    assert dispatch(["seq", "check", "-x"]) == 2
+    assert dispatch(["seq", "check", "--bogus", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "check", "-1,1"),
+        ("potential", "check", "-1,1", "--target", "kp11:3"),
+        ("witness", "k311", "-1,5"),
+        ("verify-certificate", "cert.txt", "--seq", "-1,1"),
+    ],
+    ids=" ".join,
+)
+def test_negative_sequence_text_is_a_domain_error(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == "error: degrees must be non-negative\n"
+    code, out = run(capsys, "--json", *argv)
+    assert code == 1
+    assert json.loads(out)["value"] == {"error": "degrees must be non-negative"}
+
+
+def test_closed_stdout_exits_one_without_a_traceback(monkeypatch, capsys):
+    # a pipe whose reader has gone: every flush raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as broken:
+        monkeypatch.setattr(sys, "stdout", broken)
+        monkeypatch.setattr(sys, "argv", ["potseq", "sigma", "compute", "--target", "kp11:3", "--n", "8"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        monkeypatch.undo()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_target_file_copy_of_kp11_sweeps_like_the_named_target(p, tmp_path, monkeypatch, capsys):
+    # apexes on the two highest labels, so the file is not make_kp11's labeling
+    apexes = (p, p + 1)
+    edges = [apexes] + [(c, a) for c in range(p) for a in apexes]
+    path = tmp_path / "kp11.txt"
+    path.write_text(f"{p + 2} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    calls = []
+    contains = potseq.potential.contains_subgraph
+    monkeypatch.setattr(
+        potseq.potential, "contains_subgraph", lambda g, h: calls.append(h) or contains(g, h)
+    )
+    _, named = run(capsys, "sigma", "compute", "--target", f"kp11:{p}", "--n", "7")
+    named_calls = len(calls)
+    _, from_file = run(capsys, "sigma", "compute", "--target-file", str(path), "--n", "7")
+    # only the target line differs, and the file target reaches the general
+    # engine's containment test only where the named one does
+    assert named.splitlines()[1:] == from_file.splitlines()[1:]
+    assert from_file.splitlines()[0].startswith("target: g")
+    assert len(calls) == 2 * named_calls < 20
 
 
 # stdout sha256 per command, as (text mode, --json mode with elapsed_ms

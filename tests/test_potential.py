@@ -7,29 +7,41 @@ there is also a test-local detector (an adjacent pair with p common
 neighbors) that shares no code with the library's subgraph search.
 The placement search's orbit marking is checked against the direct
 rule (keep a placement when the least of its automorphism images is
-new), which lives here only as a reference.
+new), and the completion search's greedy first branch against the
+search without it; both references live here only.  The sweep's
+answer-only K_{p,1,1} decision is checked against the certificate
+engine.
 """
 
 from itertools import combinations
 
 import pytest
 
+import potseq.potential
 from potseq.errors import NotGraphical
 from potseq.graphs import SimpleGraph, graph_from_mask, realize
 from potseq.potential import (
     TargetPattern,
     _automorphisms,
+    _complete_masks,
     _placements,
     certificate_errors,
     contains_subgraph,
     is_potentially,
     is_potentially_by_switching,
+    kp11_order,
     make_kp11,
+    potential_answer,
     realization_classes,
     realize_with_forced_edges,
     two_switch_neighbors,
 )
-from potseq.sequences import DegreeSequence, enumerate_graphical, parse_sequence
+from potseq.sequences import (
+    DegreeSequence,
+    enumerate_graphical,
+    is_graphical_multiset,
+    parse_sequence,
+)
 
 
 def has_kp11_by_common_neighbors(g, p):
@@ -83,6 +95,54 @@ def placements_by_min_key(terms, pattern):
 
     rec(0)
     return tuple(out)
+
+
+def complete_masks_by_search(terms, forced):
+    """Reference completion: the exact search alone, with no greedy walk
+    ahead of it."""
+    n = len(terms)
+    adj = list(forced)
+    r = [terms[i] - adj[i].bit_count() for i in range(n)]
+    if min(r) < 0 or sum(r) % 2:
+        return None
+    dead = set()
+
+    def rec(u):
+        while u < n and r[u] == 0:
+            u += 1
+        if u == n:
+            return True
+        key = (u, *r[u:])
+        if key in dead:
+            return False
+        need = r[u]
+        cands = [v for v in range(u + 1, n) if r[v] > 0 and not (adj[u] >> v) & 1]
+        if len(cands) >= need:
+            cands.sort(key=lambda v: (-r[v], v))
+            bit_u = 1 << u
+            for combo in combinations(cands, need):
+                r[u] = 0
+                for v in combo:
+                    adj[u] |= 1 << v
+                    adj[v] |= bit_u
+                    r[v] -= 1
+                if is_graphical_multiset(r[u + 1 :]) and rec(u + 1):
+                    return True
+                for v in combo:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= bit_u
+                    r[v] += 1
+                r[u] = need
+        dead.add(key)
+        return False
+
+    return adj if rec(0) else None
+
+
+def graphical_sequences(lo, hi):
+    for n in range(lo, hi + 1):
+        for s in range(0, n * (n - 1) + 1, 2):
+            yield from enumerate_graphical(n, s)
 
 
 K33 = TargetPattern(SimpleGraph(6, frozenset((u, v) for u in range(3) for v in range(3, 6))))
@@ -281,3 +341,44 @@ def test_certificate_errors_catches_each_defect():
     u, v2 = good_emb[0], good_emb[1]
     broken = good_graph.without_edges([(u, v2)])
     assert certificate_errors(seq, t, broken, good_emb)
+
+
+def test_kp11_order_reads_the_degree_list():
+    for p in (1, 2, 3, 4):
+        assert kp11_order(make_kp11(p)) == p
+    # K_{2,1,1} is K_4 minus an edge; a relabeled K_{3,1,1} still counts
+    assert kp11_order(K4_MINUS_E) == 2
+    relabeled = SimpleGraph(5, frozenset({(3, 4), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)}))
+    assert kp11_order(TargetPattern(relabeled)) == 3
+    for other in (K33, C5, P4, TargetPattern(SimpleGraph.complete(4))):
+        assert kp11_order(other) is None
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_potential_answer_matches_the_engine_up_to_9(p, monkeypatch):
+    t = make_kp11(p)
+    fallback = []
+
+    def recorded(seq, h):
+        verdict = is_potentially(seq, h)
+        fallback.append(verdict.answer)
+        return verdict
+
+    monkeypatch.setattr(potseq.potential, "is_potentially", recorded)
+    for seq in graphical_sequences(p + 2, 9):
+        assert potential_answer(seq, t, p) == is_potentially(seq, t).answer, seq
+    # some sequences reach the general engine, and none of them is positive
+    assert fallback and not any(fallback)
+
+
+@pytest.mark.parametrize("target", [make_kp11(2), make_kp11(3), K33], ids=["kp11:2", "kp11:3", "K33"])
+def test_greedy_first_branch_leaves_completions_unchanged_up_to_8(target):
+    hedges = sorted(target.graph.edges)
+    for seq in graphical_sequences(1, 8):
+        for slots in _placements(seq.terms, target):
+            forced = [0] * len(seq)
+            for u, v in hedges:
+                forced[slots[u]] |= 1 << slots[v]
+                forced[slots[v]] |= 1 << slots[u]
+            expected = complete_masks_by_search(seq.terms, forced)
+            assert _complete_masks(seq.terms, forced) == expected, (seq, slots)

@@ -172,3 +172,24 @@ def test_verdict_lines_are_plain_text(tmp_path):
     assert len(files) == 1
     assert files[0].read_text() == "4^6 0\n"
     assert format_sequence(DegreeSequence((4,) * 6)) == "4^6"
+
+
+def test_sweep_cache_file_matches_one_put_per_sequence(tmp_path):
+    target = make_kp11(3)
+    compute_sigma(target, 7, store=VerdictStore(tmp_path / "sweep", target, 7))
+    one_by_one = VerdictStore(tmp_path / "puts", target, 7)
+    for s in range(42, -1, -2):
+        for seq in enumerate_graphical(7, s):
+            one_by_one.put(format_sequence(seq), is_potentially(seq, target).answer)
+    swept = (tmp_path / "sweep" / one_by_one.path.name).read_bytes()
+    assert swept == one_by_one.path.read_bytes()
+
+
+def test_put_many_skips_stored_verdicts_and_writes_nothing_when_empty(tmp_path):
+    target = make_kp11(3)
+    store = VerdictStore(tmp_path, target, 6)
+    store.put_many([])
+    assert not store.path.exists()
+    store.put_many([("4^6", False), ("5^2,3^4", True), ("4^6", False)])
+    store.put_many([("5^2,3^4", True)])
+    assert store.path.read_text() == "4^6 0\n5^2,3^4 1\n"
