@@ -351,7 +351,12 @@ def _stderr_progress(args):
 class _Parser(argparse.ArgumentParser):
     """Reads any argument that starts with ``-`` and a digit as a value, so
     sequence text such as ``-1,1`` reaches ``parse_sequence`` and fails
-    there as a domain error.  No option of this program starts that way."""
+    there as a domain error.  No option of this program starts that way.
+
+    This sets ``_negative_number_matcher``, a private attribute that
+    argparse's ``_parse_optional`` reads; a Python whose argparse stops
+    reading it would bring back the usage error (exit 2) for ``-1,1``.
+    ``test_negative_sequence_text_is_a_domain_error`` guards against that."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

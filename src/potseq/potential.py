@@ -60,7 +60,6 @@ __all__ = [
     "make_kp11",
     "contains_subgraph",
     "is_potentially",
-    "kp11_order",
     "potential_answer",
     "is_potentially_by_enumeration",
     "is_potentially_by_switching",
@@ -336,6 +335,7 @@ def is_potentially(seq: DegreeSequence, h: TargetPattern) -> PotentialVerdict:
     return PotentialVerdict(False)
 
 
+@lru_cache(maxsize=None)
 def kp11_order(h: TargetPattern) -> int | None:
     """p when the target is K_{p,1,1}, else None.
 
@@ -348,9 +348,9 @@ def kp11_order(h: TargetPattern) -> int | None:
     return p if p >= 1 and degs == [p + 1] * 2 + [2] * p else None
 
 
-def potential_answer(seq: DegreeSequence, h: TargetPattern, p: int | None) -> bool:
+def potential_answer(seq: DegreeSequence, h: TargetPattern) -> bool:
     """``is_potentially(seq, h).answer`` for a graphical seq, without a
-    certificate; ``p`` is ``kp11_order(h)``, worked out once by the caller.
+    certificate.  The target's shape is read once per target and cached.
 
     For K_{p,1,1}, counting rejects a sequence with fewer than two terms
     >= p+1 or fewer than p+2 terms >= 2.  Then the one placement Yin's
@@ -359,6 +359,7 @@ def potential_answer(seq: DegreeSequence, h: TargetPattern, p: int | None) -> bo
     true.  When it fails, and for every other target, the general engine
     decides.
     """
+    p = kp11_order(h)
     if p is not None:
         terms = seq.terms
         n = len(terms)

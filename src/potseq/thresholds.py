@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import DomainError
 from .extremal import sigma_lower_bound
-from .potential import TargetPattern, kp11_order, make_kp11, potential_answer
+from .potential import TargetPattern, make_kp11, potential_answer
 from .sequences import DegreeSequence, enumerate_graphical, format_sequence
 
 __all__ = [
@@ -134,7 +134,6 @@ def compute_sigma(
             f"n={n} is smaller than the target's {target.graph.n} vertices"
         )
     max_sum = n * (n - 1)
-    p = kp11_order(target)
     failing: list[tuple[DegreeSequence, int]] = []
     jobs = min(jobs, os.cpu_count() or 1)
     executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -147,7 +146,7 @@ def compute_sigma(
             work = [seqs[i] for i in todo]
             chunk = max(1, len(work) // (jobs * 4))
             run = map if executor is None else partial(executor.map, chunksize=chunk)
-            for i, ans in zip(todo, run(potential_answer, work, repeat(target), repeat(p))):
+            for i, ans in zip(todo, run(potential_answer, work, repeat(target))):
                 answers[i] = ans
             if store:
                 store.put_many((texts[i], answers[i]) for i in todo)

@@ -366,7 +366,7 @@ def test_potential_answer_matches_the_engine_up_to_9(p, monkeypatch):
 
     monkeypatch.setattr(potseq.potential, "is_potentially", recorded)
     for seq in graphical_sequences(p + 2, 9):
-        assert potential_answer(seq, t, p) == is_potentially(seq, t).answer, seq
+        assert potential_answer(seq, t) == is_potentially(seq, t).answer, seq
     # some sequences reach the general engine, and none of them is positive
     assert fallback and not any(fallback)
 
