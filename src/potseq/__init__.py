@@ -16,6 +16,7 @@ from .decomp import (
 from .errors import (
     AttachmentInfeasible,
     BelowThreshold,
+    CorruptCache,
     DomainError,
     InvalidInterchange,
     KnownException,
@@ -44,10 +45,7 @@ from .potential import (
     certificate_errors,
     contains_subgraph,
     is_potentially,
-    is_potentially_by_enumeration,
-    is_potentially_by_switching,
     make_kp11,
-    realization_classes,
     realize_with_forced_edges,
 )
 from .sequences import (
@@ -80,6 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttachmentInfeasible",
     "BelowThreshold",
+    "CorruptCache",
     "Decomposition",
     "DegreeSequence",
     "DomainError",
@@ -116,12 +115,9 @@ __all__ = [
     "interchange",
     "is_graphical",
     "is_potentially",
-    "is_potentially_by_enumeration",
-    "is_potentially_by_switching",
     "join",
     "make_kp11",
     "parse_sequence",
-    "realization_classes",
     "realize",
     "realize_with_forced_edges",
     "reattach",

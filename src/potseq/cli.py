@@ -374,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"verdict cache directory (default: ${CACHE_ENV} if set)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel verdict workers")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="parallel sweep workers, one degree sum per task"
+    )
     parser.add_argument(
         "--progress", action="store_true", help="print sweep progress to stderr"
     )

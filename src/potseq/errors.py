@@ -31,3 +31,7 @@ class KnownException(PotseqError, ValueError):
 
 class TooSmall(PotseqError, ValueError):
     """The sequence is shorter than the algorithm supports."""
+
+
+class CorruptCache(PotseqError, ValueError):
+    """A verdict cache file holds a malformed or conflicting line."""

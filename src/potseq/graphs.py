@@ -1,4 +1,4 @@
-"""Labeled simple graphs: adjacency, realization, text format, enumeration.
+"""Labeled simple graphs: adjacency, realization, text format, canonical form.
 
 The text format is one header line ``n m`` followed by m lines ``u v``
 with 0-based endpoints, u < v, sorted lexicographically.
@@ -21,7 +21,6 @@ __all__ = [
     "realize",
     "graph_to_text",
     "graph_from_text",
-    "graph_from_mask",
     "graph_from_masks",
     "canonical_form",
 ]
@@ -85,9 +84,6 @@ class SimpleGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
-
-    def without_edges(self, drop: Iterable[Edge]) -> SimpleGraph:
-        return SimpleGraph(self.n, self.edges - {_norm_edge(u, v) for u, v in drop})
 
     def remove_vertex(self, v: int) -> SimpleGraph:
         """Drop vertex v; vertices above v shift down by one."""
@@ -175,15 +171,6 @@ def graph_from_text(text: str) -> SimpleGraph:
         edges.add(_norm_edge(u, v))
     if len(edges) != m:
         raise DomainError("duplicate edges in graph text")
-    return SimpleGraph(n, frozenset(edges))
-
-
-def graph_from_mask(n: int, mask: int) -> SimpleGraph:
-    """Decode a graph from a bitmask over the C(n,2) vertex pairs in lex order."""
-    edges = set()
-    for i, pair in enumerate(combinations(range(n), 2)):
-        if (mask >> i) & 1:
-            edges.add(pair)
     return SimpleGraph(n, frozenset(edges))
 
 

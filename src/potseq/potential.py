@@ -28,31 +28,27 @@ exact backtracking completion for each:
 * dead residual states are memoized, so exhausting a negative instance
   stays cheap.
 
-Two independent, much slower engines exist for cross-checks: exhaustive
-enumeration of all labeled graphs (containment re-derived by raw
-injection scans), and breadth-first exploration of the realization
-space under 2-switches.
+The tests cross-check this engine against two independent, much slower
+ones in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import DomainError, NotGraphical
+from .errors import DomainError
 from .graphs import (
     Edge,
     SimpleGraph,
     canonical_form,
     degree_sequence,
-    graph_from_mask,
     graph_from_masks,
     realize,
 )
-from .sequences import DegreeSequence, format_sequence, is_graphical, is_graphical_multiset
+from .sequences import DegreeSequence, format_sequence, is_graphical_multiset
 
 __all__ = [
     "TargetPattern",
@@ -61,11 +57,7 @@ __all__ = [
     "contains_subgraph",
     "is_potentially",
     "potential_answer",
-    "is_potentially_by_enumeration",
-    "is_potentially_by_switching",
     "realize_with_forced_edges",
-    "realization_classes",
-    "two_switch_neighbors",
     "certificate_errors",
 ]
 
@@ -370,93 +362,6 @@ def potential_answer(seq: DegreeSequence, h: TargetPattern) -> bool:
         if _complete_masks(terms, forced) is not None:
             return True
     return is_potentially(seq, h).answer
-
-
-@lru_cache(maxsize=8)
-def _masks_by_degrees(n: int) -> dict[tuple[int, ...], list[int]]:
-    pairs = list(combinations(range(n), 2))
-    out: dict[tuple[int, ...], list[int]] = {}
-    for mask in range(1 << len(pairs)):
-        deg = [0] * n
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            u, v = pairs[i]
-            deg[u] += 1
-            deg[v] += 1
-        out.setdefault(tuple(sorted(deg, reverse=True)), []).append(mask)
-    return out
-
-
-def _contains_by_injections(g: SimpleGraph, h: TargetPattern) -> bool:
-    """Containment by scanning raw injections; deliberately shares no code
-    with contains_subgraph."""
-    H = h.graph
-    if H.n > g.n:
-        return False
-    hedges = sorted(H.edges)
-    gedges = g.edges
-    for images in permutations(range(g.n), H.n):
-        if all(
-            ((images[u], images[v]) if images[u] < images[v] else (images[v], images[u]))
-            in gedges
-            for u, v in hedges
-        ):
-            return True
-    return False
-
-
-def is_potentially_by_enumeration(seq: DegreeSequence, h: TargetPattern) -> bool:
-    """Independent oracle: scan every labeled graph with these degrees.
-
-    Exponential in C(n,2); intended for n <= 6.
-    """
-    if not is_graphical(seq):
-        raise NotGraphical(f"{seq} is not graphical")
-    n = len(seq)
-    for mask in _masks_by_degrees(n).get(seq.terms, []):
-        if _contains_by_injections(graph_from_mask(n, mask), h):
-            return True
-    return False
-
-
-def two_switch_neighbors(g: SimpleGraph) -> Iterator[SimpleGraph]:
-    """Graphs one 2-switch away: swap two vertex-disjoint edges for two
-    absent edges on the same four vertices."""
-    edges = sorted(g.edges)
-    for (a, b), (c, d) in combinations(edges, 2):
-        if len({a, b, c, d}) < 4:
-            continue
-        for x, y, z, w in ((a, c, b, d), (a, d, b, c)):
-            e1 = (x, y) if x < y else (y, x)
-            e2 = (z, w) if z < w else (w, z)
-            if e1 not in g.edges and e2 not in g.edges:
-                yield SimpleGraph(g.n, (g.edges - {(a, b), (c, d)}) | {e1, e2})
-
-
-def realization_classes(seq: DegreeSequence) -> Iterator[SimpleGraph]:
-    """Every realization up to degree-preserving relabeling, explored by
-    breadth-first search over 2-switches (the switch space is connected)."""
-    start = realize(seq)
-    seen = {canonical_form(start)}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        yield g
-        for nxt in two_switch_neighbors(g):
-            key = canonical_form(nxt)
-            if key not in seen:
-                seen.add(key)
-                queue.append(nxt)
-
-
-def is_potentially_by_switching(seq: DegreeSequence, h: TargetPattern) -> bool:
-    """Second independent oracle: check containment across the 2-switch
-    exploration of the realization space.  Intended for n <= 7."""
-    if not is_graphical(seq):
-        raise NotGraphical(f"{seq} is not graphical")
-    return any(contains_subgraph(g, h) is not None for g in realization_classes(seq))
 
 
 def certificate_errors(

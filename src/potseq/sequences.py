@@ -44,6 +44,14 @@ class DegreeSequence:
             raise DomainError("degrees must be non-negative")
         object.__setattr__(self, "terms", terms)
 
+    @classmethod
+    def _canonical(cls, terms: tuple[int, ...]) -> DegreeSequence:
+        """Wrap a non-empty, non-increasing tuple of non-negative ints
+        without re-checking or re-sorting it."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "terms", terms)
+        return seq
+
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -106,15 +114,35 @@ def is_graphical_multiset(values: Iterable[int]) -> bool:
     return _erdos_gallai(terms)
 
 
-def _bounded_partitions(total: int, length: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of the given length, entries in [0, cap], summing to total."""
+def _bounded_partitions(
+    total: int, length: int, cap: int, k: int = 0, prefix: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of the given length, entries in [0, cap],
+    summing to total, that pass the Erdos-Gallai prefix bound.
+
+    ``k`` terms summing to ``prefix`` come before the tuple.  A candidate
+    ``first`` at position k+1 leaves T = total - first for the L = length - 1
+    terms after it, and is kept only when
+
+        prefix + first <= (k+1)k + min(T, L(k+1)).
+
+    That is Erdos-Gallai's inequality at k+1 with each tail term
+    min(d_i, k+1) bounded by min(T, L(k+1)), so every graphical sequence
+    passes it; the caller still applies the full test to each tuple.  The
+    left side grows with ``first`` and the right side shrinks, so the kept
+    candidates are the ones up to a ceiling, and the order stays
+    descending-lexicographic.
+    """
     if length == 1:
         if 0 <= total <= cap:
             yield (total,)
         return
     lo = (total + length - 1) // length
-    for first in range(min(cap, total), lo - 1, -1):
-        for rest in _bounded_partitions(total - first, length - 1, first):
+    tail = length - 1
+    room = (k + 1) * k - prefix
+    hi = min(cap, total, room + tail * (k + 1), (room + total) // 2)
+    for first in range(hi, lo - 1, -1):
+        for rest in _bounded_partitions(total - first, tail, first, k + 1, prefix + first):
             yield (first,) + rest
 
 
@@ -130,7 +158,7 @@ def enumerate_graphical(n: int, s: int) -> Iterator[DegreeSequence]:
         return
     for parts in _bounded_partitions(s, n, n - 1):
         if _erdos_gallai(parts):
-            yield DegreeSequence(parts)
+            yield DegreeSequence._canonical(parts)
 
 
 def parse_sequence(text: str) -> DegreeSequence:

@@ -5,8 +5,11 @@ n-term sequence with degree sum >= l is potentially target-graphic.
 The sweep walks every even sum from n(n-1) down to 0, decides every
 graphical sequence, and records every failure; the threshold is then
 two more than the largest failing sum.  Verdicts for distinct sequences
-are independent, so they may be computed in parallel and cached on disk
-between runs; the cache is appended once per sum.
+are independent, so they may be cached on disk between runs, and the
+sums may be swept in parallel: one task enumerates and decides one
+whole sum, and the parent takes the results back in sum order.  So the
+cache is appended once per sum, in the same order, however many
+workers run.
 
 The sweep needs answers only, never certificates, so it decides through
 ``potential_answer``.  When the target is K_{p,1,1} (by its degrees, so a
@@ -23,10 +26,9 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import CorruptCache, DomainError
 from .extremal import sigma_lower_bound
 from .potential import TargetPattern, make_kp11, potential_answer
 from .sequences import DegreeSequence, enumerate_graphical, format_sequence
@@ -75,24 +77,36 @@ class VerdictStore:
     """Append-only on-disk cache of potentiality verdicts.
 
     One file per (target, n); each line is a sequence in text format,
-    a space, and a 0/1 verdict.  Re-reads are last-writer-wins, so
-    concurrent appends of identical verdicts are harmless.  ``put_many``
-    appends a batch (a sweep's whole sum) with one open; ``put`` is a
-    batch of one.  Either has written its lines when it returns.
+    a space, and a 0/1 verdict.  Loading raises CorruptCache on a line it
+    cannot parse or on a second, different verdict for a sequence, so an
+    edited cache never changes a result silently; repeated identical
+    lines (concurrent appends of the same verdict) are harmless.
+    ``put_many`` appends a batch (a sweep's whole sum) with one open;
+    ``put`` is a batch of one.  Either has written its lines when it
+    returns.
     """
 
     def __init__(self, root: str | Path, target: TargetPattern, n: int):
         key = target.cache_key.replace(":", "-").replace("/", "-")
         self.path = Path(root) / f"{key}__n{n}.txt"
         self._mem: dict[str, bool] = {}
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
+        if not self.path.exists():
+            return
+        mem = self._mem
+        with self.path.open() as fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                text, _, bit = line.rpartition(" ")
-                if text and bit in ("0", "1"):
-                    self._mem[text] = bit == "1"
+                text, _, bit = line.partition(" ")
+                if bit not in ("0", "1"):
+                    raise CorruptCache(f"{self.path}:{lineno}: cannot parse {line!r}")
+                verdict = bit == "1"
+                if mem.setdefault(text, verdict) != verdict:
+                    raise CorruptCache(
+                        f"{self.path}:{lineno}: verdict {bit} for {text} "
+                        "conflicts with an earlier line"
+                    )
 
     def get(self, text: str) -> bool | None:
         return self._mem.get(text)
@@ -114,6 +128,49 @@ class VerdictStore:
             fh.write("".join(lines))
 
 
+def _sweep_sum(
+    target: TargetPattern, n: int, store: VerdictStore | None, s: int
+) -> tuple[int, list[DegreeSequence], list[tuple[str, bool]]]:
+    """Enumerate and decide every graphical n-term sequence of sum s.
+
+    Returns (sequences at s, the failing ones, the (text, verdict) pairs
+    the store did not hold yet), each in enumeration order.  Only reads
+    the store.
+    """
+    count = 0
+    failing: list[DegreeSequence] = []
+    new: list[tuple[str, bool]] = []
+    for seq in enumerate_graphical(n, s):
+        count += 1
+        if store is None:
+            answer = potential_answer(seq, target)
+        else:
+            text = format_sequence(seq)
+            answer = store.get(text)
+            if answer is None:
+                answer = potential_answer(seq, target)
+                new.append((text, answer))
+        if not answer:
+            failing.append(seq)
+    return count, failing, new
+
+
+# A pool worker's copy of the sweep's verdict store, set once per worker
+# by the pool's initializer, so no task carries it.
+_worker_store: VerdictStore | None = None
+
+
+def _init_worker(store: VerdictStore | None) -> None:
+    global _worker_store
+    _worker_store = store
+
+
+def _worker_sweep_sum(
+    target: TargetPattern, n: int, s: int
+) -> tuple[int, list[DegreeSequence], list[tuple[str, bool]]]:
+    return _sweep_sum(target, n, _worker_store, s)
+
+
 def compute_sigma(
     target: TargetPattern,
     n: int,
@@ -127,35 +184,39 @@ def compute_sigma(
     Returns the threshold plus the full failure profile; every recorded
     exception therefore has sum < sigma_value.  ``progress`` (if given)
     receives (sum, sequences at that sum, failures so far) after each sum.
-    ``jobs`` is clamped to the CPU count.
+    ``jobs`` is clamped to the CPU count; with more than one, each pool
+    task is one whole sum, and new verdicts reach the store in the
+    parent, in sum order.
     """
     if n < target.graph.n:
         raise DomainError(
             f"n={n} is smaller than the target's {target.graph.n} vertices"
         )
     max_sum = n * (n - 1)
+    sums = range(max_sum, -1, -2)
     failing: list[tuple[DegreeSequence, int]] = []
     jobs = min(jobs, os.cpu_count() or 1)
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    executor = None
+    if jobs > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(store,)
+        )
     try:
-        for s in range(max_sum, -1, -2):
-            seqs = list(enumerate_graphical(n, s))
-            texts = [format_sequence(seq) for seq in seqs] if store else []
-            answers = [store.get(text) for text in texts] if store else [None] * len(seqs)
-            todo = [i for i, known in enumerate(answers) if known is None]
-            work = [seqs[i] for i in todo]
-            chunk = max(1, len(work) // (jobs * 4))
-            run = map if executor is None else partial(executor.map, chunksize=chunk)
-            for i, ans in zip(todo, run(potential_answer, work, repeat(target))):
-                answers[i] = ans
+        if executor is None:
+            results = map(partial(_sweep_sum, target, n, store), sums)
+        else:
+            results = executor.map(partial(_worker_sweep_sum, target, n), sums)
+        for s, (count, fails, new) in zip(sums, results):
             if store:
-                store.put_many((texts[i], answers[i]) for i in todo)
-            failing.extend((seq, s) for seq, ans in zip(seqs, answers) if not ans)
+                store.put_many(new)
+            failing.extend((seq, s) for seq in fails)
             if progress:
-                progress(s, len(seqs), len(failing))
+                progress(s, count, len(failing))
     finally:
         if executor is not None:
-            executor.shutdown()
+            # Every sum was submitted up front; an error stops the sums
+            # not yet started rather than waiting for them.
+            executor.shutdown(cancel_futures=True)
     sigma_value = failing[0][1] + 2 if failing else 0
     return SigmaResult(target, n, sigma_value, tuple(failing), max_sum)
 
@@ -194,12 +255,12 @@ def verify_conjectured_sigma(
 ) -> bool:
     """Does the computed sigma(K_{p,1,1}, n) equal sigma_lower_bound(p, n)?
 
-    Restricted to p in 1..3 and n >= 2p + 4, where equality is expected;
+    Restricted to p >= 1 and n >= 2p + 4, where equality is expected;
     ``max_n`` guards against accidentally huge sweeps and can be raised
     explicitly.
     """
-    if not 1 <= p <= 3:
-        raise DomainError("p must be in 1..3")
+    if p < 1:
+        raise DomainError("p must be >= 1")
     if n < 2 * p + 4:
         raise DomainError(f"n must be >= 2p + 4 = {2 * p + 4}")
     if n > max_n:

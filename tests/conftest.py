@@ -2,7 +2,7 @@
 
 import pytest
 
-from potseq.potential import is_potentially_by_enumeration, is_potentially_by_switching
+from oracles import is_potentially_by_enumeration, is_potentially_by_switching
 
 
 @pytest.fixture(scope="session")

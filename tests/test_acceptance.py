@@ -8,10 +8,11 @@ of trusting the library's own verdicts wherever that is possible.
 
 from itertools import combinations
 
+from oracles import graph_from_mask
+
 from potseq.cli import dispatch
 from potseq.decomp import decompose_even, decompose_odd
 from potseq.extremal import build_lower_bound, sigma_lower_bound
-from potseq.graphs import graph_from_mask
 from potseq.potential import (
     contains_subgraph,
     is_potentially,

@@ -207,6 +207,22 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     assert first == second
 
 
+def test_conflicting_cache_line_fails_the_sweep(tmp_path, capsys):
+    argv = (
+        "--cache-dir", str(tmp_path),
+        "sigma", "compute", "--target", "kp11:3", "--n", "5",
+    )
+    run(capsys, *argv)
+    (cache,) = tmp_path.iterdir()
+    lines = cache.read_text().splitlines()
+    text, bit = lines[0].split()
+    with cache.open("a") as fh:
+        fh.write(f"{text} {1 - int(bit)}\n")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("error: ") and f"{cache.name}:{len(lines) + 1}:" in out
+
+
 def test_usage_errors_exit_two(capsys):
     assert dispatch(["bogus"]) == 2
     assert dispatch([]) == 2

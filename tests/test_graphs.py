@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import graph_from_mask
 
 from potseq.graphs import (
     SimpleGraph,
     canonical_form,
     degree_sequence,
-    graph_from_mask,
     graph_from_text,
     graph_to_text,
     realize,

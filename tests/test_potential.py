@@ -1,10 +1,11 @@
 """The potentially-H decision engines and their agreement.
 
 The seeded placement search is the production engine.  Two independent
-oracles keep it honest: direct enumeration of labeled graphs, and a
-breadth-first walk of the 2-switch graph.  For K_{p,1,1} specifically
-there is also a test-local detector (an adjacent pair with p common
-neighbors) that shares no code with the library's subgraph search.
+oracles in ``oracles.py`` keep it honest: direct enumeration of labeled
+graphs, and a breadth-first walk of the 2-switch graph.  For K_{p,1,1}
+specifically there is also a test-local detector (an adjacent pair with
+p common neighbors) that shares no code with the library's subgraph
+search.
 The placement search's orbit marking is checked against the direct
 rule (keep a placement when the least of its automorphism images is
 new), and the completion search's greedy first branch against the
@@ -16,10 +17,17 @@ engine.
 from itertools import combinations
 
 import pytest
+from oracles import (
+    graph_from_mask,
+    is_potentially_by_switching,
+    realization_classes,
+    two_switch_neighbors,
+    without_edges,
+)
 
 import potseq.potential
 from potseq.errors import NotGraphical
-from potseq.graphs import SimpleGraph, graph_from_mask, realize
+from potseq.graphs import SimpleGraph, realize
 from potseq.potential import (
     TargetPattern,
     _automorphisms,
@@ -28,13 +36,10 @@ from potseq.potential import (
     certificate_errors,
     contains_subgraph,
     is_potentially,
-    is_potentially_by_switching,
     kp11_order,
     make_kp11,
     potential_answer,
-    realization_classes,
     realize_with_forced_edges,
-    two_switch_neighbors,
 )
 from potseq.sequences import (
     DegreeSequence,
@@ -339,7 +344,7 @@ def test_certificate_errors_catches_each_defect():
 
     # strip an edge the embedding needs
     u, v2 = good_emb[0], good_emb[1]
-    broken = good_graph.without_edges([(u, v2)])
+    broken = without_edges(good_graph, [(u, v2)])
     assert certificate_errors(seq, t, broken, good_emb)
 
 

@@ -184,6 +184,26 @@ def test_enumerate_graphical_edge_cases():
         list(enumerate_graphical(0, 0))
 
 
+def unpruned_partitions(total, length, cap):
+    """The partition walk without the prefix bound: every non-increasing
+    tuple of the given length, entries in [0, cap], summing to total."""
+    if length == 1:
+        if 0 <= total <= cap:
+            yield (total,)
+        return
+    lo = (total + length - 1) // length
+    for first in range(min(cap, total), lo - 1, -1):
+        for rest in unpruned_partitions(total - first, length - 1, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_prefix_bound_drops_only_non_graphical_partitions(n):
+    for s in range(0, n * (n - 1) + 1, 2):
+        expected = [t for t in unpruned_partitions(s, n, n - 1) if erdos_gallai_full(t)]
+        assert [seq.terms for seq in enumerate_graphical(n, s)] == expected, (n, s)
+
+
 def test_enumeration_is_descending_in_lex_order():
     seqs = [seq.terms for seq in enumerate_graphical(6, 14)]
     assert seqs == sorted(seqs, reverse=True)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import potseq.thresholds
+from potseq.errors import CorruptCache
 from potseq.potential import is_potentially, make_kp11
 from potseq.sequences import DegreeSequence, degree_sum, enumerate_graphical, format_sequence
 from potseq.thresholds import (
@@ -84,8 +85,11 @@ def test_verify_table_passes_for_tabulated_n():
 def test_verify_conjecture_small_cases():
     assert verify_conjectured_sigma(1, 6)
     assert verify_conjectured_sigma(2, 8)
-    with pytest.raises(ValueError):
+    # any p >= 1 is accepted; p = 4 at n = 12 stops on the size guard alone
+    with pytest.raises(ValueError, match="exceeds max_n=9"):
         verify_conjectured_sigma(4, 12)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        verify_conjectured_sigma(0, 6)
     with pytest.raises(ValueError):
         verify_conjectured_sigma(3, 9)
     with pytest.raises(ValueError):
@@ -137,13 +141,14 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
     created = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             created.append(max_workers)
+            initializer(*initargs)
 
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-        def shutdown(self):
+        def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -153,6 +158,26 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
     assert created == [2]
     assert result.exceptions == compute_sigma(target, 6).exceptions
     assert created == [2]
+
+
+def sweep_with_log(tmp_path, jobs):
+    target = make_kp11(3)
+    calls = []
+    store = VerdictStore(tmp_path, target, 7)
+    result = compute_sigma(target, 7, jobs=jobs, store=store,
+                           progress=lambda s, k, f: calls.append((s, k, f)))
+    return result, calls, store.path.read_bytes()
+
+
+def test_pool_sweep_matches_serial_in_result_progress_and_cache_bytes(tmp_path, monkeypatch):
+    # a two-worker pool even on a one-CPU machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = sweep_with_log(tmp_path / "serial", 1)
+    pooled = sweep_with_log(tmp_path / "pool", 2)
+    assert pooled == serial
+    # a second pooled sweep over the warm cache decides nothing new
+    again = sweep_with_log(tmp_path / "pool", 2)
+    assert again == serial
 
 
 def test_progress_callback_sees_every_sum():
@@ -193,3 +218,31 @@ def test_put_many_skips_stored_verdicts_and_writes_nothing_when_empty(tmp_path):
     store.put_many([("4^6", False), ("5^2,3^4", True), ("4^6", False)])
     store.put_many([("5^2,3^4", True)])
     assert store.path.read_text() == "4^6 0\n5^2,3^4 1\n"
+
+
+def test_verdict_store_refuses_an_edited_verdict(tmp_path):
+    target = make_kp11(3)
+    store = VerdictStore(tmp_path, target, 6)
+    store.put_many([("4^6", False), ("5^2,3^4", True)])
+    with store.path.open("a") as fh:
+        fh.write("4^6 1\n")
+    with pytest.raises(CorruptCache, match=r"__n6\.txt:3: verdict 1 for 4\^6"):
+        VerdictStore(tmp_path, target, 6)
+
+
+@pytest.mark.parametrize("line", ["garbage", "4^6", "4^6 2", "4^6  0", "4^6 0 1"])
+def test_verdict_store_refuses_a_line_it_cannot_parse(tmp_path, line):
+    target = make_kp11(3)
+    store = VerdictStore(tmp_path, target, 6)
+    store.path.write_text(f"5^2,3^4 1\n{line}\n")
+    with pytest.raises(CorruptCache, match=r"__n6\.txt:2: cannot parse"):
+        VerdictStore(tmp_path, target, 6)
+
+
+def test_verdict_store_accepts_identical_duplicates(tmp_path):
+    target = make_kp11(3)
+    store = VerdictStore(tmp_path, target, 6)
+    store.path.write_text("4^6 0\n5^2,3^4 1\n4^6 0\n\n")
+    reloaded = VerdictStore(tmp_path, target, 6)
+    assert reloaded.get("4^6") is False
+    assert reloaded.get("5^2,3^4") is True
