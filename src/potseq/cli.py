@@ -29,7 +29,8 @@ from .potential import (
     is_potentially,
     make_kp11,
 )
-from .sequences import degree_sum, enumerate_graphical, format_sequence, is_graphical, parse_sequence
+from .sequences import MAX_SEQUENCE_TERMS, degree_sum, enumerate_graphical, format_sequence
+from .sequences import is_graphical, parse_sequence
 from .thresholds import (
     K311_N6_EXCEPTION_FLOOR,
     VerdictStore,
@@ -70,9 +71,12 @@ def _parse_target(spec: str | None, path: str | None) -> TargetPattern:
         kind, sep, arg = spec.partition(":")
         if kind == "kp11" and sep:
             try:
-                return make_kp11(int(arg))
+                p = int(arg)
+                if p + 2 <= MAX_SEQUENCE_TERMS:
+                    return make_kp11(p)
             except ValueError:
                 raise PotseqError(f"bad target spec {spec!r}") from None
+            raise DomainError(f"{spec} needs {p + 2} terms; the limit is {MAX_SEQUENCE_TERMS}")
         raise PotseqError(f"unknown target spec {spec!r}; use kp11:P or --target-file")
     graph = graph_from_text(Path(path).read_text())
     if graph.n > MAX_TARGET_FILE_VERTICES:

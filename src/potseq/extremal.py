@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .decomp import ONE_FACTOR, SPANNING_CYCLE, cycle_vertex_order, decompose_even, decompose_odd, join
 from .errors import DomainError
 from .graphs import Edge, SimpleGraph, _norm_edge, degree_sequence, realize
-from .potential import is_potentially, make_kp11
+from .potential import make_kp11, potential_answer
 from .sequences import DegreeSequence
 
 __all__ = [
@@ -123,19 +123,7 @@ def build_lower_bound(p: int, n: int) -> LowerBoundInstance:
 def verify_not_potential(inst: LowerBoundInstance) -> bool:
     """True iff the instance's sequence is not potentially K_{p,1,1}-graphic.
 
-    K_{p,1,1} needs two vertices of degree >= p+1, so fewer than two such
-    terms settles it; for n <= 10 the exhaustive engine runs as well and
-    must agree with the shortcut whenever the shortcut applies.
+    ``potential_answer`` decides K_{p,1,1} exactly for every n by its
+    closed form, whose proof is in its docstring.
     """
-    shortcut_applies = sum(1 for t in inst.sequence if t >= inst.p + 1) < 2
-    if len(inst.sequence) <= 10:
-        answer = not is_potentially(inst.sequence, make_kp11(inst.p)).answer
-        if shortcut_applies and not answer:
-            raise RuntimeError("degree-count shortcut contradicts the exhaustive search")
-        return answer
-    if shortcut_applies:
-        return True
-    raise DomainError(
-        "sequence too long for the exhaustive check and the degree-count "
-        "shortcut does not apply"
-    )
+    return not potential_answer(inst.sequence, make_kp11(inst.p))

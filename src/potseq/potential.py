@@ -28,6 +28,10 @@ exact backtracking completion for each:
 * dead residual states are memoized, so exhausting a negative instance
   stays cheap.
 
+K_{p,1,1} targets have an exact closed form, ``_kp11_answer``, proved
+in ``potential_answer``'s docstring.  The sweep decides through it alone,
+and ``is_potentially`` uses it in place of the placement search.
+
 The tests cross-check this engine against two independent, much slower
 ones in ``tests/oracles.py``.
 """
@@ -312,15 +316,25 @@ def realize_with_forced_edges(seq: DegreeSequence, forced: Iterable[Edge]) -> Si
 
 
 def is_potentially(seq: DegreeSequence, h: TargetPattern) -> PotentialVerdict:
-    """Exact decision, with a certificate realization on success."""
+    """Exact decision, with a certificate realization on success.
+
+    For K_{p,1,1} laid out as ``make_kp11`` lays it out (apexes 0 and 1),
+    ``_kp11_answer`` rejects, and a copy the Havel-Hakimi realization
+    misses is completed on the top placement (vertex v on slot v) alone.
+    By lemma A in ``potential_answer`` that placement completes whenever
+    any does, and it is the first one ``_placements`` emits, so the
+    certificate is the one the general search returns.
+    """
     g = realize(seq)
-    if h.graph.n > len(seq):
+    p = kp11_order(h)
+    top = p is not None and h.graph.degree(0) == h.graph.degree(1) == p + 1
+    if h.graph.n > len(seq) or top and not _kp11_answer(seq.terms, p):
         return PotentialVerdict(False)
     emb = contains_subgraph(g, h)
     if emb is not None:
         return PotentialVerdict(True, g, emb)
     hedges = sorted(h.graph.edges)
-    for slots in _placements(seq.terms, h):
+    for slots in [tuple(range(h.graph.n))] if top else _placements(seq.terms, h):
         cert = realize_with_forced_edges(seq, [(slots[u], slots[v]) for u, v in hedges])
         if cert is not None:
             return PotentialVerdict(True, cert, {v: slots[v] for v in range(h.graph.n)})
@@ -340,27 +354,66 @@ def kp11_order(h: TargetPattern) -> int | None:
     return p if p >= 1 and degs == [p + 1] * 2 + [2] * p else None
 
 
+def _kp11_answer(terms: tuple[int, ...], p: int) -> bool:
+    """Whether the non-increasing ``terms`` are potentially
+    K_{p,1,1}-graphic; the proof is in ``potential_answer``."""
+    if len(terms) < p + 2 or terms[1] < p + 1 or terms[p + 1] < 2:
+        return False
+    rest = list(terms[p + 2 :])
+    for need in (terms[0] - p - 1, terms[1] - p - 1):
+        rest.sort(reverse=True)
+        if need and (need > len(rest) or rest[need - 1] == 0):
+            return False
+        rest[:need] = [r - 1 for r in rest[:need]]
+    return is_graphical_multiset([d - 2 for d in terms[2 : p + 2]] + rest)
+
+
 def potential_answer(seq: DegreeSequence, h: TargetPattern) -> bool:
     """``is_potentially(seq, h).answer`` for a graphical seq, without a
     certificate.  The target's shape is read once per target and cached.
 
-    For K_{p,1,1}, counting rejects a sequence with fewer than two terms
-    >= p+1 or fewer than p+2 terms >= 2.  Then the one placement Yin's
-    theorem on split graphs names (apexes on the two largest slots,
-    commons on the next p) is completed; a completion proves the answer
-    true.  When it fails, and for every other target, the general engine
-    decides.
+    Every other target goes to the general engine.  K_{p,1,1} is decided
+    by ``_kp11_answer`` alone, in O(n log n), on the sorted degrees d:
+
+    1. counting: n >= p+2, d_1 >= p+1 and d_{p+1} >= 2 (0-based);
+    2. K_{p,1,1} on slots 0..p+1: apexes 0 and 1, commons 2..p+1;
+    3. the remaining demand d - (p+1) of apex 0, then of apex 1 on the
+       updated residuals, goes to the largest residuals among slots
+       p+2..n-1; too few positive ones reject;
+    4. Erdos-Gallai on the commons' d - 2 plus what is left outside.
+
+    A graph built that way is a realization holding the copy, so a true
+    answer is sound.  A false one is exact by two exchange arguments
+    (Yin's placement for split graphs, Discrete Math. 311 (2011)
+    2485-2489, and the Kleitman-Wang lay-off, Discrete Math. 6 (1973)
+    79-88).  Let G be a realization holding a copy; d is degree in G.
+
+    Lemma A (placement).  Let u be a vertex of the copy, and v either a
+    vertex outside it with d(v) >= d(u), or a common with d(v) >= d(u)
+    when u is an apex.  Then v can take u's role.  Let W be u's copy
+    neighbours other than v that are not adjacent to v.  As d(v) >= d(u),
+    |N(v) - N[u]| >= |N(u) - N[v]| >= |W|, so pair each w in W with a
+    distinct z in N(v) - N[u] and switch {uw, vz} -> {vw, uz}.  vz is
+    never a copy edge: either v is outside the copy, or u is an apex, so
+    z, not adjacent to u, lies outside it.  Swapping a larger outside
+    vertex into the copy raises the copy's degree sum, and swapping a
+    larger common onto an apex raises the apexes' sum, so some copy sits
+    on the p+2 largest degrees with the apexes on the two largest; as
+    equal-degree slots are interchangeable, it sits on step 2's slots.
+
+    Lemma B (lay-off).  Fix the copy on slots 0..p+1, and let r be degree
+    once the apexes already fixed are removed.  Let apex a be adjacent to
+    x but not to y, with x, y in slots p+2..n-1 and r(y) >= r(x).  As a
+    lies in N(x) - N(y), some z lies in N(y) - N[x], and z != a.  The
+    switch {ax, yz} -> {ay, xz} keeps every copy edge, as x and y lie
+    outside the copy.  Repeating it gives apex 0 the largest residuals in
+    G; then apex 1 the same in G - apex 0.  What is left on slots 2..n-1
+    can be any simple graph with the residual degrees, so Erdos-Gallai
+    decides it.
     """
     p = kp11_order(h)
     if p is not None:
-        terms = seq.terms
-        n = len(terms)
-        if n < p + 2 or terms[1] < p + 1 or terms[p + 1] < 2:
-            return False
-        top = (1 << (p + 2)) - 1
-        forced = [top ^ 1, top ^ 2] + [3] * p + [0] * (n - p - 2)
-        if _complete_masks(terms, forced) is not None:
-            return True
+        return _kp11_answer(seq.terms, p)
     return is_potentially(seq, h).answer
 
 

@@ -13,10 +13,10 @@ workers run.
 
 The sweep needs answers only, never certificates, so it decides through
 ``potential_answer``.  When the target is K_{p,1,1} (by its degrees, so a
-``--target-file`` copy counts too), most sequences are settled by
-counting or by completing one forced placement, with no Havel-Hakimi
-realization and no containment search; the rest, and every other
-target, go to the general engine.
+``--target-file`` copy counts too), every sequence is settled by its
+exact closed form: counting, the copy on the largest degrees, a greedy
+lay-off of the apexes and one Erdos-Gallai test, with no realization and
+no search.  Every other target goes to the general engine.
 """
 
 from __future__ import annotations

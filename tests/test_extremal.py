@@ -95,6 +95,14 @@ def test_verify_not_potential_rejects_a_potential_sequence():
     assert not verify_not_potential(fake)
 
 
+def test_verify_not_potential_decides_long_sequences_with_two_apex_slots():
+    # two terms reach p + 1 at n = 12, where no degree count settles it
+    witness = build_lower_bound(3, 12).witness_graph
+    for text, expected in (("4^6,0^6", True), ("5^2,3^4,0^6", False), ("11^12", False)):
+        fake = LowerBoundInstance(3, 12, sigma_lower_bound(3, 12), parse_sequence(text), witness)
+        assert verify_not_potential(fake) == expected, text
+
+
 def test_large_n_falls_back_to_the_degree_count_argument():
     inst = build_lower_bound(3, 40)
     assert verify_not_potential(inst)

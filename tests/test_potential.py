@@ -9,9 +9,9 @@ search.
 The placement search's orbit marking is checked against the direct
 rule (keep a placement when the least of its automorphism images is
 new), and the completion search's greedy first branch against the
-search without it; both references live here only.  The sweep's
-answer-only K_{p,1,1} decision is checked against the certificate
-engine.
+search without it; both references live here only.  The closed-form
+K_{p,1,1} decision, and the certificates ``is_potentially`` builds with
+it, are checked against the general placement engine.
 """
 
 from itertools import combinations
@@ -362,18 +362,21 @@ def test_kp11_order_reads_the_degree_list():
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_potential_answer_matches_the_engine_up_to_9(p, monkeypatch):
     t = make_kp11(p)
-    fallback = []
+    seqs = list(graphical_sequences(p + 2, 9))
+    # with the shape hidden, is_potentially is the general placement engine
+    with monkeypatch.context() as m:
+        m.setattr(potseq.potential, "kp11_order", lambda h: None)
+        general = [is_potentially(seq, t) for seq in seqs]
+    for seq, expected in zip(seqs, general):
+        assert is_potentially(seq, t) == expected, seq
 
-    def recorded(seq, h):
-        verdict = is_potentially(seq, h)
-        fallback.append(verdict.answer)
-        return verdict
+    def no_engine(*_args):
+        raise AssertionError("potential_answer reached is_potentially")
 
-    monkeypatch.setattr(potseq.potential, "is_potentially", recorded)
-    for seq in graphical_sequences(p + 2, 9):
-        assert potential_answer(seq, t) == is_potentially(seq, t).answer, seq
-    # some sequences reach the general engine, and none of them is positive
-    assert fallback and not any(fallback)
+    monkeypatch.setattr(potseq.potential, "is_potentially", no_engine)
+    monkeypatch.setattr(potseq.potential, "_complete_masks", no_engine)
+    for seq, expected in zip(seqs, general):
+        assert potential_answer(seq, t) == expected.answer, seq
 
 
 @pytest.mark.parametrize("target", [make_kp11(2), make_kp11(3), K33], ids=["kp11:2", "kp11:3", "K33"])

@@ -62,6 +62,13 @@ def test_sigma_for_triangle_matches_known_small_values():
         assert compute_sigma(make_kp11(1), n).sigma_value == 2 * n
 
 
+def test_sigma_k311_n12_is_46():
+    # beyond the paper's table: 4n - 2 again, equal to the construction bound
+    result = compute_sigma(make_kp11(3), 12)
+    assert result.sigma_value == 46
+    assert len(result.exceptions) == 1378
+
+
 def test_computed_sigma_never_undercuts_the_construction_bound():
     from potseq.extremal import sigma_lower_bound
 
