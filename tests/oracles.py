@@ -4,12 +4,16 @@ library against.
 Exhaustive enumeration of all labeled graphs (containment re-derived by
 raw injection scans), and breadth-first exploration of the realization
 space under 2-switches.  Both are exponential and meant for n <= 7.
+Containment in larger graphs is re-derived by networkx's subgraph
+monomorphism search, when networkx is installed.
 """
 
 from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations, permutations
+
+import pytest
 
 from potseq.errors import NotGraphical
 from potseq.graphs import Edge, SimpleGraph, canonical_form, realize
@@ -63,6 +67,18 @@ def _contains_by_injections(g: SimpleGraph, h: TargetPattern) -> bool:
         ):
             return True
     return False
+
+
+def contains_by_monomorphism(g: SimpleGraph, h: TargetPattern) -> bool:
+    """Containment by networkx's VF2 subgraph monomorphism search, which
+    shares no code with this library; skips the calling test without
+    networkx."""
+    nx = pytest.importorskip("networkx")
+    big = nx.Graph()
+    big.add_nodes_from(range(g.n))
+    big.add_edges_from(sorted(g.edges))
+    matcher = nx.algorithms.isomorphism.GraphMatcher(big, nx.Graph(sorted(h.graph.edges)))
+    return matcher.subgraph_is_monomorphic()
 
 
 def is_potentially_by_enumeration(seq: DegreeSequence, h: TargetPattern) -> bool:

@@ -1,11 +1,15 @@
 """Constructive realizations containing K_{3,1,1}.
 
-Success is always rechecked with certificate_errors, and the traces are
+Success is always rechecked by a test-local checker, and the traces are
 replayed edge by edge so the recorded steps actually reproduce the
 delivered graph.
 """
 
+import random
+from collections import Counter
+
 import pytest
+from oracles import contains_by_monomorphism
 
 from potseq.errors import (
     BelowThreshold,
@@ -15,11 +19,18 @@ from potseq.errors import (
     TooSmall,
 )
 from potseq.graphs import SimpleGraph, degree_sequence, realize
-from potseq.potential import certificate_errors, make_kp11
-from potseq.sequences import DegreeSequence, degree_sum, enumerate_graphical, parse_sequence
+from potseq.potential import make_kp11
+from potseq.sequences import (
+    DegreeSequence,
+    degree_sum,
+    enumerate_graphical,
+    is_graphical,
+    parse_sequence,
+)
 from potseq.witness import (
     AttachStep,
-    FallbackStep,
+    BaseCaseStep,
+    EarlyContainmentStep,
     InterchangeStep,
     SeededCliqueStep,
     find_k311_realization,
@@ -30,8 +41,31 @@ from potseq.witness import (
 
 
 def check_result(seq, result):
-    assert certificate_errors(seq, make_kp11(3), result.graph, result.embedding) == []
-    assert not result.diverged
+    """Degrees, the five embedded vertices and the nine target edges are
+    re-derived here; the trace must replay to the graph and consist of
+    one core step (the exact engine only below eight vertices, else the
+    seeded clique) followed by construction steps."""
+    g, emb = result.graph, result.embedding
+    assert tuple(sorted(g.degrees(), reverse=True)) == seq.terms
+    assert sorted(emb) == [0, 1, 2, 3, 4]
+    a, b, *commons = (emb[i] for i in range(5))
+    assert len({a, b, *commons}) == 5
+    assert g.has_edge(a, b)
+    assert all(g.has_edge(a, c) and g.has_edge(b, c) for c in commons)
+    assert replay_trace(result.trace) == g
+    core, *steps = result.trace
+    assert type(core) is (BaseCaseStep if core.graph.n <= 7 else SeededCliqueStep)
+    assert all(isinstance(s, (EarlyContainmentStep, InterchangeStep, AttachStep)) for s in steps)
+
+
+def path_counts(results):
+    """How often each construction path ran, from the traces."""
+    counts = Counter()
+    for result in results:
+        for step in result.trace:
+            name = type(step).__name__
+            counts[f"{name}{step.case}" if isinstance(step, InterchangeStep) else name] += 1
+    return counts
 
 
 def test_small_base_cases():
@@ -160,13 +194,58 @@ def test_reattach_rejects_bad_requests():
         reattach(g, parse_sequence("3^2,2^4"), 2, (4, 4))
 
 
-def test_every_qualifying_sequence_up_to_n8_succeeds():
-    for n in (5, 6, 7, 8):
-        lo = 4 * n - 2
-        for s in range(n * (n - 1), lo - 1, -2):
+# Per-path step counts over every qualifying n-term sequence; n = 9 has
+# 2,649 inputs, and only 4^8 and 4^9 reach the interchange.
+EXHAUSTIVE_PATHS = {
+    5: {"BaseCaseStep": 2},
+    6: {"BaseCaseStep": 15},
+    7: {"BaseCaseStep": 101},
+    8: {"BaseCaseStep": 347, "AttachStep": 347, "SeededCliqueStep": 207,
+        "EarlyContainmentStep": 206, "InterchangeStep1": 1},
+    9: {"BaseCaseStep": 1102, "AttachStep": 2934, "SeededCliqueStep": 1547,
+        "EarlyContainmentStep": 1546, "InterchangeStep1": 1},
+}
+
+
+def test_every_qualifying_sequence_up_to_n9_succeeds():
+    for n, expected in EXHAUSTIVE_PATHS.items():
+        results = []
+        for s in range(n * (n - 1), 4 * n - 3, -2):
             for seq in enumerate_graphical(n, s):
                 if seq.terms == (4,) * 6:
                     continue
                 result = find_k311_realization(seq)
                 check_result(seq, result)
-                assert not any(isinstance(x, FallbackStep) for x in result.trace)
+                results.append(result)
+        cores = sum(expected[k] for k in ("BaseCaseStep", "SeededCliqueStep") if k in expected)
+        assert len(results) == cores
+        assert path_counts(results) == expected, n
+
+
+def near_threshold_sequences(rng, count):
+    """Graphical sequences with n = 8..40: terms drawn from {3, 4}, then
+    random terms bumped until the sum is even and >= 4n - 2.  Minimum
+    degree >= 3 sends every one through the seeded clique."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(8, 40)
+        terms = [rng.choice((3, 4)) for _ in range(n)]
+        while sum(terms) < 4 * n - 2 or sum(terms) % 2:
+            terms[rng.randrange(n)] += 1
+        seq = DegreeSequence(tuple(sorted(terms, reverse=True)))
+        if is_graphical(seq):
+            out.append(seq)
+    return out
+
+
+def test_random_near_threshold_sequences_reach_both_interchange_cases():
+    k311 = make_kp11(3)
+    results = []
+    for seq in near_threshold_sequences(random.Random(2004), 5000):
+        result = find_k311_realization(seq)
+        check_result(seq, result)
+        assert contains_by_monomorphism(result.graph, k311)
+        results.append(result)
+    counts = path_counts(results)
+    assert counts["SeededCliqueStep"] == 5000
+    assert counts["InterchangeStep1"] > 0 and counts["InterchangeStep2"] > 0
