@@ -42,7 +42,6 @@ from .witness import (
     AttachStep,
     BaseCaseStep,
     EarlyContainmentStep,
-    FallbackStep,
     InterchangeStep,
     SeededCliqueStep,
     find_k311_realization,
@@ -143,8 +142,6 @@ def _format_trace_step(step) -> str:
     if isinstance(step, AttachStep):
         to = ",".join(str(v) for v in step.attached_to)
         return f"attach: degree={step.removed_degree} to=[{to}]"
-    if isinstance(step, FallbackStep):
-        return f"fallback: {step.reason}"
     return f"step: {step!r}"
 
 
@@ -283,13 +280,15 @@ def _handle_sigma_verify_theorem2(args) -> Handled:
 
 
 def _handle_sigma_verify_conjecture(args) -> Handled:
-    target = make_kp11(args.p)
+    if not 2 * args.p + 4 <= args.n <= args.max_n:
+        # raises its DomainError before make_kp11 builds an O(p) target
+        verify_conjectured_sigma(args.p, args.n, max_n=args.max_n)
     ok = verify_conjectured_sigma(
         args.p,
         args.n,
         max_n=args.max_n,
         jobs=args.jobs,
-        store=_store_for(args, target, args.n),
+        store=_store_for(args, make_kp11(args.p), args.n),
         progress=_stderr_progress(args),
     )
     bound = sigma_lower_bound(args.p, args.n)
@@ -306,7 +305,6 @@ def _handle_witness(args) -> Handled:
     value = {
         "sequence": format_sequence(seq),
         "certificate": cert_text,
-        "diverged": result.diverged,
     }
     lines = [f"sequence: {value['sequence']}", "graph:"]
     lines.extend(graph_to_text(result.graph).splitlines())

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import potseq.cli
 import potseq.potential
 from potseq.cli import CACHE_ENV, MAX_TARGET_FILE_VERTICES, dispatch, main
 from potseq.potential import certificate_errors, make_kp11
@@ -177,6 +178,20 @@ def test_sigma_verify_conjecture(capsys):
     assert "result: pass" in out
 
 
+@pytest.mark.parametrize(
+    "p, n, message", [("100000", "5", "n must be >= 2p + 4"), ("100000", "200004", "exceeds max_n")]
+)
+def test_verify_conjecture_domain_error_comes_before_the_target(p, n, message, monkeypatch, capsys):
+    def no_target(_p):
+        raise AssertionError("the out-of-range p reached make_kp11")
+
+    monkeypatch.setattr(potseq.cli, "make_kp11", no_target)
+    code, out = run(capsys, "sigma", "verify-conjecture", "--p", p, "--n", n)
+    assert code == 1
+    assert out.startswith("error:")
+    assert message in out
+
+
 def test_extremal_build_and_bound(capsys):
     code, out = run(capsys, "extremal", "bound", "--p", "3", "--n", "7")
     assert code == 0
@@ -334,7 +349,7 @@ PINNED_STDOUT = {
     ),
     ("witness", "k311", "4^8", "--trace"): (
         "2f259dc94878894b0c807b042f05eb5f97d57ed351329f284b5f2db37fa42c64",
-        "ab33a68b45da56bd2ad5cb6b89702bc90b9dd86ffbeda835d962e962e3a335bb",
+        "960626a34dcf92c1ac213c0a9468a1d96731a81bcd2929d5056f3e8aec1194e2",
     ),
     ("seq", "realize", "3,3,1"): (
         "f4632114bfc7d2a81f35bd705ff36bf74da4d00afd3ab8f3bd8796f7f30c78ec",

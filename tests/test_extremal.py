@@ -103,7 +103,7 @@ def test_verify_not_potential_decides_long_sequences_with_two_apex_slots():
         assert verify_not_potential(fake) == expected, text
 
 
-def test_large_n_falls_back_to_the_degree_count_argument():
+def test_closed_form_decides_the_bound_instance_at_n40():
     inst = build_lower_bound(3, 40)
     assert verify_not_potential(inst)
     assert degree_sum(inst.sequence) == sigma_lower_bound(3, 40) - 2
