@@ -247,7 +247,7 @@ def _clique_then_interchange(seq: DegreeSequence) -> WitnessResult:
     if g is None:
         raise RuntimeError(
             f"{seq} has no realization with K_4 on its top four slots, against "
-            "sigma(K_4, n) <= 4n - 2 and lemma A's switch (Rao's theorem for cliques)"
+            "sigma(K_4, n) <= 4n - 2 and potential_answer's lemma A (Rao's theorem for cliques)"
         )
     trace: list[object] = [SeededCliqueStep(g)]
     v1, v2, v3, v4 = 0, 1, 2, 3

@@ -179,14 +179,14 @@ def test_sigma_verify_conjecture(capsys):
 
 
 @pytest.mark.parametrize(
-    "p, n, message", [("100000", "5", "n must be >= 2p + 4"), ("100000", "200004", "exceeds max_n")]
+    "n, message", [("5", "n must be >= 2p + 4"), ("200004", "exceeds max_n")]
 )
-def test_verify_conjecture_domain_error_comes_before_the_target(p, n, message, monkeypatch, capsys):
+def test_verify_conjecture_domain_error_comes_before_the_target(n, message, monkeypatch, capsys):
     def no_target(_p):
         raise AssertionError("the out-of-range p reached make_kp11")
 
     monkeypatch.setattr(potseq.cli, "make_kp11", no_target)
-    code, out = run(capsys, "sigma", "verify-conjecture", "--p", p, "--n", n)
+    code, out = run(capsys, "sigma", "verify-conjecture", "--p", "100000", "--n", n)
     assert code == 1
     assert out.startswith("error:")
     assert message in out

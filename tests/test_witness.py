@@ -194,8 +194,9 @@ def test_reattach_rejects_bad_requests():
         reattach(g, parse_sequence("3^2,2^4"), 2, (4, 4))
 
 
-# Per-path step counts over every qualifying n-term sequence; n = 9 has
-# 2,649 inputs, and only 4^8 and 4^9 reach the interchange.
+# Per-path step counts over every qualifying n-term sequence.  Each trace
+# has one core step, so base + seeded is the number of inputs (2,649 at
+# n = 9); 4^8 and 4^9 are the only interchanges.
 EXHAUSTIVE_PATHS = {
     5: {"BaseCaseStep": 2},
     6: {"BaseCaseStep": 15},
@@ -217,8 +218,6 @@ def test_every_qualifying_sequence_up_to_n9_succeeds():
                 result = find_k311_realization(seq)
                 check_result(seq, result)
                 results.append(result)
-        cores = sum(expected[k] for k in ("BaseCaseStep", "SeededCliqueStep") if k in expected)
-        assert len(results) == cores
         assert path_counts(results) == expected, n
 
 
