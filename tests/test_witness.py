@@ -5,6 +5,8 @@ replayed edge by edge so the recorded steps actually reproduce the
 delivered graph.
 """
 
+import dataclasses
+import hashlib
 import random
 from collections import Counter
 
@@ -248,3 +250,59 @@ def test_random_near_threshold_sequences_reach_both_interchange_cases():
     counts = path_counts(results)
     assert counts["SeededCliqueStep"] == 5000
     assert counts["InterchangeStep1"] > 0 and counts["InterchangeStep2"] > 0
+
+
+def k5_chain(rng, n):
+    """K_5 plus n - 5 degree-2 vertices on five hubs; the seed splits the
+    2(n - 5) hub-side endpoints.  Every split-off step peels a 2."""
+    m = n - 5
+    while True:
+        cuts = sorted(rng.randint(0, 2 * m) for _ in range(4))
+        extra = [b - a for a, b in zip([0, *cuts], [*cuts, 2 * m])]
+        if max(extra) <= m:
+            return DegreeSequence(tuple(4 + x for x in extra) + (2,) * m)
+
+
+def uniform_sequence(rng, n, lo, hi):
+    """Terms drawn uniformly from lo..hi, redrawn until qualifying."""
+    while True:
+        terms = [rng.randint(lo, hi) for _ in range(n)]
+        if sum(terms) % 2:
+            terms[0] += 1 if terms[0] < hi else -1
+        seq = DegreeSequence(tuple(terms))
+        if sum(terms) >= 4 * n - 2 and is_graphical(seq):
+            return seq
+
+
+def witness_digest(result):
+    """sha256 of the graph's edges, the embedding and every trace step,
+    with each recorded graph written as its sorted edge list."""
+    def canon(value):
+        return (value.n, sorted(value.edges)) if isinstance(value, SimpleGraph) else value
+
+    parts = [canon(result.graph), sorted(result.embedding.items())]
+    for step in result.trace:
+        fields = [canon(getattr(step, f.name)) for f in dataclasses.fields(step)]
+        parts.append((type(step).__name__, fields))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# Long inputs, seed 2004: a 294-step split-off chain, a seeded clique with
+# 54 attachments, and a case-2 interchange at n = 200.
+LONG_WITNESS_DIGESTS = {
+    "k5_chain_300": (lambda rng: k5_chain(rng, 300),
+                     "7b34007d758255dd76396a4bdf09f8b4b15dbd89fcc72396b5e38e829ef97aea"),
+    "random_1_8_150": (lambda rng: uniform_sequence(rng, 150, 1, 8),
+                       "ba3da56c5dbf6c087478c22b353ffc63ead3ae92528ee48c74f0680d599650f9"),
+    "random_3_6_200": (lambda rng: uniform_sequence(rng, 200, 3, 6),
+                       "7cda770bb2a66b5ba507512c63053372ba33cb5d0de8d200d3c2a6ebde6b90d1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WITNESS_DIGESTS))
+def test_long_witness_bytes_are_pinned(name):
+    make, expected = LONG_WITNESS_DIGESTS[name]
+    seq = make(random.Random(2004))
+    result = find_k311_realization(seq)
+    check_result(seq, result)
+    assert witness_digest(result) == expected
