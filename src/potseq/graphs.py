@@ -2,13 +2,18 @@
 
 The text format is one header line ``n m`` followed by m lines ``u v``
 with 0-based endpoints, u < v, sorted lexicographically.
+
+``realize`` and the witness's split-off chain share one bucketed
+Havel-Hakimi primitive, ``_havel_hakimi``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import neg
 
 from .errors import DomainError, NotGraphical
 from .sequences import DegreeSequence, is_graphical
@@ -119,31 +124,57 @@ def degree_sequence(g: SimpleGraph) -> DegreeSequence:
 def realize(seq: DegreeSequence) -> SimpleGraph:
     """Havel-Hakimi realization: vertex i gets the i-th largest degree.
 
-    Repeatedly satisfies the largest remaining demand by connecting it
-    to the next-largest ones; ties break to the lowest vertex index, so
-    the output is reproducible.
+    The edges are those of ``_havel_hakimi``'s lay-offs, so the output is
+    reproducible.
     """
     if not is_graphical(seq):
         raise NotGraphical(f"{seq} is not graphical")
-    n = len(seq)
-    residual = list(seq.terms)
-    edges: set[Edge] = set()
-    while True:
-        u = min(range(n), key=lambda v: (-residual[v], v))
-        if residual[u] == 0:
-            break
-        need = residual[u]
-        residual[u] = 0
-        others = sorted(
-            (v for v in range(n) if v != u and residual[v] > 0),
-            key=lambda v: (-residual[v], v),
-        )
-        if len(others) < need:
-            raise NotGraphical(f"{seq} is not graphical")
-        for v in others[:need]:
-            residual[v] -= 1
-            edges.add(_norm_edge(u, v))
-    return SimpleGraph(n, frozenset(edges))
+    pairs = ((u, v) for u, joined in _havel_hakimi(seq.terms) for v in joined)
+    return SimpleGraph(len(seq), frozenset(pairs))
+
+
+def _havel_hakimi(terms: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
+    """The Havel-Hakimi lay-offs of a graphical non-increasing sequence.
+
+    Each lay-off takes the slot with the highest residual (the lowest slot
+    on ties) and joins it to as many of the next-highest residuals (again
+    lowest slots first); it yields that slot and the slots it joined.
+    Positive residuals live in per-value buckets of ascending slots, which
+    start as contiguous ranges, so a lay-off visits only the values
+    present and moves a few slices down one bucket each.  A caller may
+    stop early: the lay-offs that saturate the last slot give its
+    neighbours in ``realize``.
+    """
+    buckets: dict[int, list[int]] = {}
+    start = 0
+    while start < len(terms) and terms[start]:
+        end = bisect_right(terms, -terms[start], start, key=neg)
+        buckets[terms[start]] = list(range(start, end))
+        start = end
+    while buckets:
+        values = sorted(buckets, reverse=True)
+        u = buckets[values[0]].pop(0)
+        need, moves = values[0], []
+        for d in values:
+            bucket = buckets[d]
+            take = bucket[:need]
+            del bucket[:need]
+            moves.append((d, take))
+            need -= len(take)
+            if not need:
+                break
+        joined: list[int] = []
+        for d, take in moves:
+            joined += take
+            if not buckets[d]:
+                del buckets[d]
+            if d > 1 and take:
+                below = buckets.setdefault(d - 1, [])
+                if below and below[-1] > take[0]:
+                    below[:] = sorted(below + take)
+                else:
+                    below += take
+        yield u, joined
 
 
 def graph_to_text(g: SimpleGraph) -> str:

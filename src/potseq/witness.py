@@ -7,7 +7,11 @@ the inductive construction:
 
 * minimum degree <= 2: split off a minimum-degree vertex, solve the
   shorter sequence (its sum stays above the threshold), then re-attach
-  the vertex to hosts whose degrees match the recorded residuals;
+  the vertex to hosts whose degrees match the recorded residuals.  The
+  split-off vertex's neighbours are its neighbours in ``realize``, read
+  from the Havel-Hakimi lay-offs only until it is saturated; the whole
+  chain, down and back up, runs on degree and edge lists, and the
+  witness graph is built once at the end;
 * minimum degree >= 3: complete a realization with a clique on the four
   highest-degree slots, walk to helper vertices y1, y2, y3 next to the
   clique, and either read off a K_{3,1,1} directly or apply one
@@ -38,7 +42,7 @@ from .errors import (
     NotGraphical,
     TooSmall,
 )
-from .graphs import Edge, SimpleGraph, _norm_edge, degree_sequence, realize
+from .graphs import Edge, SimpleGraph, _havel_hakimi, _norm_edge
 from .potential import certificate_errors, is_potentially, make_kp11, realize_with_forced_edges
 from .sequences import DegreeSequence, degree_sum, is_graphical
 from .thresholds import K311_N6_EXCEPTION
@@ -162,21 +166,30 @@ def reattach(
     first).  Any containment in the residual graph survives untouched."""
     if removed_degree != len(neighbor_residual_degrees):
         raise DomainError("attachment multiset size must equal the removed degree")
-    need = Counter(neighbor_residual_degrees)
     degs = residual_realization.degrees()
-    chosen: list[int] = []
-    for v in range(residual_realization.n):
-        if need.get(degs[v], 0) > 0:
-            need[degs[v]] -= 1
-            chosen.append(v)
-    if sum(need.values()):
-        raise AttachmentInfeasible(
-            f"no hosts with degrees {sorted(need.elements(), reverse=True)} remain"
-        )
-    rebuilt = residual_realization.add_vertex(chosen)
-    if degree_sequence(rebuilt) != original:
+    hosts = _attach(degs, original.terms, neighbor_residual_degrees)
+    return residual_realization.add_vertex(hosts)
+
+
+def _attach(degs: list[int], terms: tuple[int, ...], nbr_res: tuple[int, ...]) -> tuple[int, ...]:
+    """Append to degs a vertex joined to the lowest-indexed hosts whose
+    degrees match the multiset nbr_res, and return the hosts; the new
+    degrees must sort to terms."""
+    hosts: list[int] = []
+    for d, count in Counter(nbr_res).items():
+        v = -1
+        for _ in range(count):
+            try:
+                v = degs.index(d, v + 1)
+            except ValueError:
+                raise AttachmentInfeasible(f"no host of degree {d} remains") from None
+            hosts.append(v)
+    for v in hosts:
+        degs[v] += 1
+    degs.append(len(nbr_res))
+    if sorted(degs, reverse=True) != list(terms):
         raise AttachmentInfeasible("attachment does not restore the original sequence")
-    return rebuilt
+    return tuple(sorted(hosts))
 
 
 def find_k311_realization(seq: DegreeSequence) -> WitnessResult:
@@ -203,25 +216,43 @@ def find_k311_realization(seq: DegreeSequence) -> WitnessResult:
 
 
 def _solve(seq: DegreeSequence) -> WitnessResult:
-    # Peel minimum-degree vertices down to a core, recording each one's
-    # sequence and neighbor residual degrees, then re-attach them in
-    # reverse order.
-    peeled: list[tuple[DegreeSequence, tuple[int, ...]]] = []
-    while len(seq) > 7 and seq.terms[-1] <= 2:
-        g = realize(seq)
-        victim = len(seq) - 1
-        gdegs = g.degrees()
-        nbr_res = tuple(sorted((gdegs[u] - 1 for u in g.neighbors(victim)), reverse=True))
-        peeled.append((seq, nbr_res))
-        seq = degree_sequence(g.remove_vertex(victim))
-    core = _exact(seq) if len(seq) <= 7 else _clique_then_interchange(seq)
-    graph, trace = core.graph, list(core.trace)
+    # Peel minimum-degree vertices down to a core, recording each level's
+    # terms and the peeled vertex's neighbor residual degrees in
+    # realize(terms), then re-attach them in reverse order on a degree
+    # list and an edge list.
+    terms = seq.terms
+    peeled: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    while len(terms) > 7 and terms[-1] <= 2:
+        nbrs = _last_slot_neighbors(terms)
+        peeled.append((terms, tuple(sorted((terms[u] - 1 for u in nbrs), reverse=True))))
+        rest = list(terms[:-1])
+        for u in nbrs:
+            rest[u] -= 1
+        terms = tuple(sorted(rest, reverse=True))
+    core_seq = DegreeSequence(terms)
+    core = _exact(core_seq) if len(terms) <= 7 else _clique_then_interchange(core_seq)
+    if not peeled:
+        return core
+    degs, edges, trace = core.graph.degrees(), list(core.graph.edges), list(core.trace)
     for outer, nbr_res in reversed(peeled):
-        low = outer.terms[-1]
-        graph = reattach(graph, outer, low, nbr_res)
-        attached = tuple(sorted(graph.neighbors(len(outer) - 1)))
-        trace.append(AttachStep(low, nbr_res, attached))
-    return WitnessResult(graph, core.embedding, tuple(trace))
+        hosts = _attach(degs, outer, nbr_res)
+        edges.extend((v, len(degs) - 1) for v in hosts)
+        trace.append(AttachStep(outer[-1], nbr_res, hosts))
+    return WitnessResult(SimpleGraph(len(degs), frozenset(edges)), core.embedding, tuple(trace))
+
+
+def _last_slot_neighbors(terms: tuple[int, ...]) -> list[int]:
+    """The last slot's neighbors in realize(terms): the Havel-Hakimi
+    lay-offs run only until that slot is saturated."""
+    last, nbrs = len(terms) - 1, []
+    lay_offs = _havel_hakimi(terms)
+    while len(nbrs) < terms[-1]:
+        u, joined = next(lay_offs)
+        if u == last:
+            nbrs += joined
+        elif last in joined:
+            nbrs.append(u)
+    return nbrs
 
 
 def _embedding(apexes: tuple[int, int], commons: tuple[int, int, int]) -> dict[int, int]:

@@ -1,6 +1,10 @@
 """Slow, independent decision engines that the tests cross-check the
 library against.
 
+``realize_by_sorting`` is the sort-based Havel-Hakimi realization the
+library used before its bucketed lay-offs; it re-sorts every residual at
+each step and finds non-graphical input by running out of partners.
+
 Exhaustive enumeration of all labeled graphs (containment re-derived by
 raw injection scans), and breadth-first exploration of the realization
 space under 2-switches.  Both are exponential and meant for n <= 7.
@@ -19,6 +23,31 @@ from potseq.errors import NotGraphical
 from potseq.graphs import Edge, SimpleGraph, canonical_form, realize
 from potseq.potential import TargetPattern, contains_subgraph
 from potseq.sequences import DegreeSequence, is_graphical
+
+
+def realize_by_sorting(seq: DegreeSequence) -> SimpleGraph:
+    """Havel-Hakimi with the same tie-breaks as ``realize``: lay off the
+    highest residual (lowest vertex on ties) onto the next-highest ones
+    (lowest vertices first), sorting all residuals at every step."""
+    n = len(seq)
+    residual = list(seq.terms)
+    edges: set[Edge] = set()
+    while True:
+        u = min(range(n), key=lambda v: (-residual[v], v))
+        if residual[u] == 0:
+            break
+        need = residual[u]
+        residual[u] = 0
+        others = sorted(
+            (v for v in range(n) if v != u and residual[v] > 0),
+            key=lambda v: (-residual[v], v),
+        )
+        if len(others) < need:
+            raise NotGraphical(f"{seq} is not graphical")
+        for v in others[:need]:
+            residual[v] -= 1
+            edges.add((min(u, v), max(u, v)))
+    return SimpleGraph(n, frozenset(edges))
 
 
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:

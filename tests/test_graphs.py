@@ -1,11 +1,13 @@
 """Graph container, Havel-Hakimi realization, text form, canonical form."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import graph_from_mask
+from oracles import graph_from_mask, realize_by_sorting
+
+from potseq.errors import NotGraphical
 
 from potseq.graphs import (
     SimpleGraph,
@@ -15,7 +17,7 @@ from potseq.graphs import (
     graph_to_text,
     realize,
 )
-from potseq.sequences import DegreeSequence, enumerate_graphical
+from potseq.sequences import DegreeSequence, enumerate_graphical, is_graphical
 
 
 def test_edges_normalize_and_loops_rejected():
@@ -75,6 +77,42 @@ def test_realize_round_trips_sampled_graphs_beyond_exhaustive_range(n, data):
     edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
     seq = degree_sequence(SimpleGraph(n, edges))
     assert degree_sequence(realize(seq)) == seq
+
+
+def realize_outcome(realizer, seq):
+    """The realization's edge set, or None when it raises NotGraphical."""
+    try:
+        return realizer(seq).edges
+    except NotGraphical:
+        return None
+
+
+def test_realize_equals_the_sorting_oracle_up_to_9():
+    for n in range(1, 10):
+        for s in range(0, n * (n - 1) + 1, 2):
+            for seq in enumerate_graphical(n, s):
+                assert realize(seq).edges == realize_by_sorting(seq).edges, seq
+
+
+def test_realize_and_the_sorting_oracle_reject_the_same_sequences_up_to_7():
+    for n in range(1, 8):
+        for terms in combinations_with_replacement(range(n, -1, -1), n):
+            seq = DegreeSequence(terms)
+            expected = realize_outcome(realize_by_sorting, seq)
+            assert realize_outcome(realize, seq) == expected, seq
+            assert (expected is not None) == is_graphical(seq), seq
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_realize_equals_the_sorting_oracle_up_to_300(data):
+    n = data.draw(st.integers(min_value=1, max_value=300))
+    hi = data.draw(st.integers(min_value=0, max_value=n))
+    terms = data.draw(st.lists(st.integers(min_value=0, max_value=hi), min_size=n, max_size=n))
+    if sum(terms) % 2 and data.draw(st.booleans()):
+        terms[terms.index(max(terms))] -= 1
+    seq = DegreeSequence(tuple(terms))
+    assert realize_outcome(realize, seq) == realize_outcome(realize_by_sorting, seq)
 
 
 def test_realize_assigns_sorted_degrees_by_slot():

@@ -8,11 +8,13 @@ delivered graph.
 import dataclasses
 import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
 from oracles import contains_by_monomorphism
 
+from potseq import graphs, sequences, witness
 from potseq.errors import (
     BelowThreshold,
     InvalidInterchange,
@@ -306,3 +308,85 @@ def test_long_witness_bytes_are_pinned(name):
     result = find_k311_realization(seq)
     check_result(seq, result)
     assert witness_digest(result) == expected
+
+
+# Hand-built realizations with K_4 on slots 0..3 (v1..v4), each slot
+# carrying the i-th largest degree as realize_with_forced_edges promises.
+# The walk meets y1 = 5 (next to v1 only), y2 = 6 (next to v2 only) and
+# y3 = 4, y1's lowest neighbor besides v1 and y2.  No qualifying input
+# up to n = 10, nor the random near-threshold gate, puts y3 next to v4.
+CLIQUE = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+Y3_NEXT_TO_V3_AND_V4 = CLIQUE + [
+    (0, 5), (1, 6), (4, 5), (2, 4), (3, 4), (5, 7), (4, 6), (6, 7), (0, 7),
+]
+Y3_NEXT_TO_V4_ONLY = CLIQUE + [
+    (0, 5), (1, 6), (4, 5), (3, 4), (2, 7), (4, 6), (4, 7), (5, 7), (5, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "edges, step, embedding",
+    [
+        (Y3_NEXT_TO_V3_AND_V4,
+         EarlyContainmentStep("helper 4 is adjacent to both low clique slots"),
+         {0: 2, 1: 3, 2: 0, 3: 1, 4: 4}),
+        (Y3_NEXT_TO_V4_ONLY,
+         InterchangeStep(2, ((4, 5), (2, 3), (1, 6)), ((1, 5), (2, 4), (3, 6))),
+         {0: 0, 1: 1, 2: 2, 3: 3, 4: 5}),
+    ],
+)
+def test_seeded_clique_branches_where_y3_meets_v4(monkeypatch, edges, step, embedding):
+    seeded = SimpleGraph(8, frozenset(edges))
+    seq = degree_sequence(seeded)
+    assert seeded.degrees() == list(seq.terms)
+    assert seq.terms[-1] >= 3 and degree_sum(seq) >= 4 * len(seq) - 2
+
+    def forced_realization(s, forced):
+        assert s == seq and sorted(forced) == CLIQUE
+        return seeded
+
+    monkeypatch.setattr(witness, "realize_with_forced_edges", forced_realization)
+    result = find_k311_realization(seq)
+    check_result(seq, result)
+    assert result.trace == (SeededCliqueStep(seeded), step)
+    assert result.embedding == embedding
+
+
+def count_work(monkeypatch):
+    """Counters on is_graphical and realize, at every potseq module that
+    refers to them, and on SimpleGraph construction."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("is_graphical", sequences.is_graphical), ("realize", graphs.realize)):
+        wrapper = counted(name, fn)
+        for modname, module in list(sys.modules.items()):
+            if modname == "potseq" or modname.startswith("potseq."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(
+        SimpleGraph, "__post_init__", counted("SimpleGraph", SimpleGraph.__post_init__)
+    )
+    return counts
+
+
+def test_split_off_chain_work_does_not_grow_with_its_length(monkeypatch):
+    # K_5 chains (hubs 42^5 or 82^5, then 2^(n - 5)) peel n - 7 vertices
+    # down to the same 7-vertex core.  Per witness: the input check and
+    # the base case's realize (with its own check), and two graphs, the
+    # base case's and the witness.  Peeling each level through realize
+    # and a SimpleGraph made 95, 94 and 280 of them at n = 100.
+    counts = count_work(monkeypatch)
+    for n in (100, 200):
+        m = n - 5
+        seq = DegreeSequence((4 + 2 * m // 5,) * 5 + (2,) * m)
+        counts.clear()
+        result = find_k311_realization(seq)
+        assert dict(counts) == {"is_graphical": 2, "realize": 1, "SimpleGraph": 2}, n
+        check_result(seq, result)
