@@ -378,10 +378,9 @@ def count_work(monkeypatch):
 
 def test_split_off_chain_work_does_not_grow_with_its_length(monkeypatch):
     # K_5 chains (hubs 42^5 or 82^5, then 2^(n - 5)) peel n - 7 vertices
-    # down to the same 7-vertex core.  Per witness: the input check and
-    # the base case's realize (with its own check), and two graphs, the
-    # base case's and the witness.  Peeling each level through realize
-    # and a SimpleGraph made 95, 94 and 280 of them at n = 100.
+    # down to the same 7-vertex core.  Per witness: the input check, the
+    # base case's realize with its own check, and two graphs, the base
+    # case's and the witness.  None of it may recur per peeled level.
     counts = count_work(monkeypatch)
     for n in (100, 200):
         m = n - 5
