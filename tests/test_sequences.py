@@ -6,8 +6,9 @@ inequality check with no early termination.  Both were used to freeze
 the expected values below before the library existed.
 """
 
+import hashlib
 import time
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -208,3 +209,37 @@ def test_enumeration_is_descending_in_lex_order():
     seqs = [seq.terms for seq in enumerate_graphical(6, 14)]
     assert seqs == sorted(seqs, reverse=True)
     assert len(set(seqs)) == len(seqs)
+
+
+# sha256 over one line "SUM:TERMS" per enumerated sequence, sums ascending,
+# each sum's sequences in enumeration order.  Frozen from the recursive
+# partition walk that preceded the iterative one.
+ENUMERATION_DIGESTS = {
+    10: "43ac4d359bb734371aef98f59f2a9eb613d421e133e818e7aad7f01ff91452df",
+    11: "08e228910ddc9f977368377b7bbc7035e54d4d572f883ddf9a78cb7ed0606060",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_order_is_pinned(n):
+    digest = hashlib.sha256()
+    for s in range(0, n * (n - 1) + 1, 2):
+        for seq in enumerate_graphical(n, s):
+            digest.update(f"{s}:{','.join(map(str, seq.terms))}\n".encode())
+    assert digest.hexdigest() == ENUMERATION_DIGESTS[n]
+
+
+def format_by_groupby(seq):
+    """The run-length formatter as first written, kept as the reference."""
+    return ",".join(f"{d}^{len(list(grp))}" for d, grp in groupby(seq.terms))
+
+
+def test_format_matches_the_groupby_reference():
+    seqs = [DegreeSequence((0,)), parse_sequence("3^100000")]
+    for n in range(1, 10):
+        for s in range(0, n * (n - 1) + 1, 2):
+            seqs.extend(enumerate_graphical(n, s))
+    for seq in seqs:
+        assert format_sequence(seq) == format_by_groupby(seq), seq.terms
+    assert format_sequence(seqs[0]) == "0^1"
+    assert format_sequence(seqs[1]) == "3^100000"
