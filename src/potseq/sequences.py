@@ -4,13 +4,17 @@ Sequences are canonicalized to non-increasing order at construction and
 compared as multisets.  The text format is comma-separated ``BASE^EXP``
 items (bare ``BASE`` is accepted on input); output always uses exponent
 form with descending bases, e.g. ``5^1,4^5,1^1``.
+
+``is_graphical`` is one Erdos-Gallai scan.  ``enumerate_graphical`` is
+one iterative walk over non-increasing sequences that tests each
+Erdos-Gallai inequality it needs as soon as the terms it reads are fixed,
+so it reaches only graphical sequences and tests none of them again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import groupby
 
 from .errors import DomainError
 
@@ -114,51 +118,103 @@ def is_graphical_multiset(values: Iterable[int]) -> bool:
     return _erdos_gallai(terms)
 
 
-def _bounded_partitions(
-    total: int, length: int, cap: int, k: int = 0, prefix: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of the given length, entries in [0, cap],
-    summing to total, that pass the Erdos-Gallai prefix bound.
-
-    ``k`` terms summing to ``prefix`` come before the tuple.  A candidate
-    ``first`` at position k+1 leaves T = total - first for the L = length - 1
-    terms after it, and is kept only when
-
-        prefix + first <= (k+1)k + min(T, L(k+1)).
-
-    That is Erdos-Gallai's inequality at k+1 with each tail term
-    min(d_i, k+1) bounded by min(T, L(k+1)), so every graphical sequence
-    passes it; the caller still applies the full test to each tuple.  The
-    left side grows with ``first`` and the right side shrinks, so the kept
-    candidates are the ones up to a ceiling, and the order stays
-    descending-lexicographic.
-    """
-    if length == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    lo = (total + length - 1) // length
-    tail = length - 1
-    room = (k + 1) * k - prefix
-    hi = min(cap, total, room + tail * (k + 1), (room + total) // 2)
-    for first in range(hi, lo - 1, -1):
-        for rest in _bounded_partitions(total - first, tail, first, k + 1, prefix + first):
-            yield (first,) + rest
-
-
 def enumerate_graphical(n: int, s: int) -> Iterator[DegreeSequence]:
     """All graphical length-``n`` sequences with degree sum ``s``.
 
     Yields in descending lexicographic order; empty when ``s`` is odd or
     outside [0, n(n-1)].
+
+    One iterative walk fills the list ``d`` left to right, trying the
+    values at each position from a ceiling down to a floor, with
+    ``pre[j] = d[0] + ... + d[j-1]``.  Indices are 0-based, so
+    Erdos-Gallai at k reads ``pre[k] <= k(k-1) + sum(min(d[i], k) for i >= k)``.
+
+    - Floor: with R left for the L positions from j on, d[j] >= ceil(R/L).
+    - Ceiling: d[j] <= d[j-1] (n - 1 at j = 0), d[j] <= R, and, with
+      room = (j+1)j - pre[j], the prefix bound
+      ``pre[j] + d[j] <= (j+1)j + min(R - d[j], (L-1)(j+1))``, that is,
+      Erdos-Gallai at j + 1 with every later term bounded by j + 1.
+    - When d[j] = v follows u = d[j-1], every k in [max(v, 1), min(u-1, j)]
+      has terms j.. at most k and terms k..j-1 above k, so Erdos-Gallai at
+      k is ``pre[k] <= k(j-1) + (s - pre[j])``, fully known.  The test does
+      not depend on v, so the walk scans k down from min(u-1, j) and
+      raises the floor above the first k that fails.  The last position is
+      forced (d[n-1] = R) and gets the same test.
+
+    These tests are Erdos-Gallai at exactly the k with d[k-1] >= k + 1
+    whose terms are not all above k.  If all n terms are above k, the
+    inequality reads pre[k] <= k(n-1), which d[0] <= n - 1 gives.  Every
+    other k is implied, by induction from k = 0, where it is trivial:
+
+    - If d[k-1] < k, the left side grows by d[k-1] from k - 1 to k, and
+      the right side by 2(k-1) - d[k-1] >= d[k-1], since every term from
+      k - 1 on is below k.
+    - If d[k-1] = k, the inequality at k is 2 pre[k] <= k(k-1) + s, as
+      every term from k on is at most k.  The one at k - 1 gives
+      pre[k] - k <= (k-1)(k-2) + (k-1) + (s - pre[k]), that is,
+      2 pre[k] <= k(k-1) + 1 + s, and both sides of the wanted inequality
+      are even.
+
+    So every sequence the walk reaches is graphical and needs no test of
+    its own, and only non-graphical prefixes are cut (generation in the
+    spirit of Ruskey, Cohen, Eades and Scott, "Alley CATs in search of
+    good homes", 1994; the few indices after Tripathi and Vijay, Discrete
+    Math. 265 (2003) 417-420).  The walk keeps its state in three lists
+    of length n, not in nested calls, so a long sequence cannot exhaust
+    the interpreter's stack.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if s < 0 or s % 2 or s > n * (n - 1):
         return
-    for parts in _bounded_partitions(s, n, n - 1):
-        if _erdos_gallai(parts):
-            yield DegreeSequence._canonical(parts)
+    wrap = DegreeSequence._canonical
+    if n == 1:
+        yield wrap((0,))
+        return
+    last = n - 1
+    # d[j] steps down from one above its ceiling to floor[j], and
+    # pre[j] = d[0] + ... + d[j-1]; j is the position being stepped.
+    d = [0] * n
+    floor = [0] * n
+    pre = [0] * n
+    d[0] = min(last, s // 2) + 1
+    floor[0] = -(-s // n)
+    j = 0
+    while j >= 0:
+        u = d[j] - 1
+        if u < floor[j]:
+            j -= 1
+            continue
+        d[j] = u
+        j += 1
+        done = pre[j - 1] + u
+        rest = s - done
+        if j == last:
+            k = u - 1
+            while k >= rest and k:
+                if pre[k] > k * (j - 1) + rest:
+                    break
+                k -= 1
+            else:
+                d[last] = rest
+                yield wrap(tuple(d))
+            j -= 1
+            continue
+        pre[j] = done
+        lo = -(-rest // (n - j))
+        room = (j + 1) * j - done
+        hi = min(u, rest, room + (last - j) * (j + 1), (room + rest) // 2)
+        k = u - 1 if u <= j else j
+        while k >= lo and k:
+            if pre[k] > k * (j - 1) + rest:
+                lo = k + 1
+                break
+            k -= 1
+        if lo > hi:
+            j -= 1
+            continue
+        d[j] = hi + 1
+        floor[j] = lo
 
 
 def parse_sequence(text: str) -> DegreeSequence:
@@ -188,4 +244,16 @@ def parse_sequence(text: str) -> DegreeSequence:
 
 def format_sequence(seq: DegreeSequence) -> str:
     """Exponent form with descending bases, e.g. ``5^1,4^5,1^1``."""
-    return ",".join(f"{d}^{len(list(grp))}" for d, grp in groupby(seq.terms))
+    terms = seq.terms
+    parts = []
+    run = terms[0]
+    count = 0
+    for d in terms:
+        if d == run:
+            count += 1
+        else:
+            parts.append(f"{run}^{count}")
+            run = d
+            count = 1
+    parts.append(f"{run}^{count}")
+    return ",".join(parts)

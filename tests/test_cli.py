@@ -48,6 +48,14 @@ def test_seq_enumerate_lists_the_slice(capsys):
     assert out == "2^1,1^2\n"
 
 
+def test_seq_enumerate_walks_a_long_sequence_without_recursion(capsys):
+    # one stack frame per position would pass the interpreter's
+    # recursion limit long before 1,200 positions
+    code, out = run(capsys, "seq", "enumerate", "--n", "1200", "--sum", "2")
+    assert code == 0
+    assert out == "1^2,0^1198\n"
+
+
 def test_potential_check_false_is_still_exit_zero(capsys):
     code, out = run(capsys, "potential", "check", "4^6", "--target", "kp11:3")
     assert code == 0
