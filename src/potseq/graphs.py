@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 from operator import neg
 
@@ -139,41 +140,63 @@ def _havel_hakimi(terms: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
     Each lay-off takes the slot with the highest residual (the lowest slot
     on ties) and joins it to as many of the next-highest residuals (again
     lowest slots first); it yields that slot and the slots it joined.
-    Positive residuals live in per-value buckets of ascending slots, which
-    start as contiguous ranges, so a lay-off visits only the values
-    present and moves a few slices down one bucket each.  A caller may
-    stop early: the lay-offs that saturate the last slot give its
-    neighbours in ``realize``.
+    Positive residuals live in per-value buckets of slots, so a lay-off
+    visits only the values present.  A bucket starts as a contiguous
+    range and stays an ascending list, read from a head offset, while the
+    slots moved into it land above its last one, so a lay-off slices its
+    lowest slots and appends the moved ones.  The first move that would
+    interleave turns the bucket into a min-heap, which costs O(log n) per
+    slot from then on.  A caller may stop early: the lay-offs that
+    saturate the last slot give its neighbours in ``realize``.
     """
-    buckets: dict[int, list[int]] = {}
+    # buckets[d] = [head, slots]: the live slots are slots[head:] while
+    # head >= 0, and the whole heap slots once head is -1.
+    buckets: dict[int, list] = {}
     start = 0
     while start < len(terms) and terms[start]:
         end = bisect_right(terms, -terms[start], start, key=neg)
-        buckets[terms[start]] = list(range(start, end))
+        buckets[terms[start]] = [0, list(range(start, end))]
         start = end
     while buckets:
         values = sorted(buckets, reverse=True)
-        u = buckets[values[0]].pop(0)
-        need, moves = values[0], []
+        need, moves = values[0] + 1, []
         for d in values:
-            bucket = buckets[d]
-            take = bucket[:need]
-            del bucket[:need]
+            entry = buckets[d]
+            head, slots = entry
+            if head >= 0:
+                take = slots[head:head + need]
+                entry[0] = head = head + len(take)
+                spent = head == len(slots)
+            elif len(slots) > need:
+                take = [heappop(slots) for _ in range(need)]
+                spent = False
+            else:
+                take, spent = sorted(slots), True
+            if spent:
+                del buckets[d]
             moves.append((d, take))
             need -= len(take)
             if not need:
                 break
+        u = moves[0][1].pop(0)
         joined: list[int] = []
         for d, take in moves:
             joined += take
-            if not buckets[d]:
-                del buckets[d]
-            if d > 1 and take:
-                below = buckets.setdefault(d - 1, [])
-                if below and below[-1] > take[0]:
-                    below[:] = sorted(below + take)
-                else:
-                    below += take
+            if d == 1 or not take:
+                continue
+            below = buckets.get(d - 1)
+            if below is None:
+                buckets[d - 1] = [0, take]
+                continue
+            head, slots = below
+            if head >= 0:
+                if slots[-1] < take[0]:
+                    slots += take
+                    continue
+                del slots[:head]
+                below[0] = -1
+            for v in take:
+                heappush(slots, v)
         yield u, joined
 
 
