@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -155,6 +154,12 @@ def _sweep_sum(
     return count, failing, new
 
 
+# The pool class, bound on the first sweep with jobs > 1, so a serial run
+# never imports multiprocessing.  A caller may bind it first to supply its
+# own pool.
+ProcessPoolExecutor = None
+
+
 # A pool worker's copy of the sweep's verdict store, set once per worker
 # by the pool's initializer, so no task carries it.
 _worker_store: VerdictStore | None = None
@@ -188,6 +193,7 @@ def compute_sigma(
     task is one whole sum, and new verdicts reach the store in the
     parent, in sum order.
     """
+    global ProcessPoolExecutor
     if n < target.graph.n:
         raise DomainError(
             f"n={n} is smaller than the target's {target.graph.n} vertices"
@@ -198,6 +204,8 @@ def compute_sigma(
     jobs = min(jobs, os.cpu_count() or 1)
     executor = None
     if jobs > 1:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(store,)
         )

@@ -4,7 +4,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,15 @@ def test_seq_enumerate_walks_a_long_sequence_without_recursion(capsys):
     code, out = run(capsys, "seq", "enumerate", "--n", "1200", "--sum", "2")
     assert code == 0
     assert out == "1^2,0^1198\n"
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # a serial sweep never pays for importing multiprocessing
+    probe = "import sys, potseq.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(potseq.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_potential_check_false_is_still_exit_zero(capsys):
